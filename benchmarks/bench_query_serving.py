@@ -9,7 +9,13 @@ sweeps).  Both the cold first battery (plan + sort orders paid) and the
 steady-state repeat battery (everything cached) are recorded in
 ``BENCH_query.json``; sketch/wavelet/qdigest must clear 5x even cold.
 
-The second half times the :class:`~repro.distributed.frontend.
+The interval-store section times the ``qdigest-stream`` paths --
+level-fused flat scan, retained per-depth kernel, SQLite pushdown --
+on *fresh* batteries (B=256 and B=10k, new Box objects every call, so
+no memo replays a compiled plan), asserts them bitwise-identical, and
+gates the fused kernel's speedup over the retained one.
+
+The last section times the :class:`~repro.distributed.frontend.
 QueryFrontend` serving the same battery one query at a time
 (``batch_size=1``) versus micro-batched (``submit``/``flush`` at
 ``batch_size=256``, one kernel call per flush per method).
@@ -47,8 +53,17 @@ if SMOKE:
     REPEATS = 10
     TRIALS = 3
 
-#: Families with a dedicated batched kernel in this PR; the ISSUE's 5x
-#: acceptance gate applies to the first three.
+#: Fresh-battery interval-store timings: (battery size, batteries) --
+#: a serving batch and a bulk battery (what ``query_many_now`` and large
+#: frontend batches send).  Both are gated.
+FRESH = ((256, 40), (10_000, 2))
+if SMOKE:
+    FRESH = ((64, 20), (400, 2))
+#: Required fused-over-retained speedup on fresh batteries.
+FRESH_GATE = 1.2
+
+#: Families with a dedicated batched kernel; the 5x gate on the cold
+#: battery applies to the first three.
 GATED = ("sketch", "wavelet", "qdigest")
 METHODS = GATED + ("qdigest-stream", "obliv", "exact")
 
@@ -59,6 +74,22 @@ def _battery(rng, size, n_queries):
     spans = rng.integers(0, max(1, size // 10), n_queries)
     highs = np.minimum(lows + spans, size - 1)
     return [Box((int(lo),), (int(hi),)) for lo, hi in zip(lows, highs)]
+
+
+def _timed_fresh(fn, batteries, trials=TRIALS):
+    """Best-of-``trials`` wall time of ``fn`` over every battery.
+
+    Each trial answers copies of the batteries made of new Box
+    objects, so no per-summary plan memo can replay a compiled plan.
+    """
+    best = float("inf")
+    for _trial in range(trials):
+        fresh = [[Box(box.lows, box.highs) for box in battery]
+                 for battery in batteries]
+        start = time.perf_counter()
+        out = [fn(battery) for battery in fresh]
+        best = min(best, time.perf_counter() - start)
+    return out, best
 
 
 def _timed(fn):
@@ -144,65 +175,53 @@ def test_query_serving(results_dir):
             )
 
     # ------------------------------------------------------------------
-    # Interval-table store: flat kernel vs retained pointer path vs
-    # SQLite pushdown, all three bit-identical on the same battery.
-    # `serve:qdigest-stream` above already records the (default) flat
-    # path; the two extra records pin the retained baseline and the
-    # out-of-core backend so check_regression gates all of them.
+    # Interval-table store on fresh batteries: the level-fused flat
+    # scan vs the retained per-depth kernel vs SQLite pushdown, at a
+    # serving batch and a bulk battery.  Every timed call gets Box
+    # objects no plan memo has seen, and the three paths must agree
+    # bitwise.
     # ------------------------------------------------------------------
-    lines.append("== Interval store: flat vs retained vs pushdown ==")
+    lines.append("== Interval store, fresh batteries: flat vs retained "
+                 "vs pushdown ==")
     digest = summaries["qdigest-stream"]
-    flat_ans, flat_repeat = _timed(lambda: digest.query_many(queries))
-    digest.flat_kernel = False
-    start = time.perf_counter()
-    retained_cold_ans = digest.query_many(queries)
-    retained_cold = time.perf_counter() - start
-    retained_ans, retained_repeat = _timed(
-        lambda: digest.query_many(queries)
-    )
-    digest.flat_kernel = True
-    assert flat_ans == retained_ans, "flat kernel diverged (bitwise)"
-    assert retained_cold_ans == retained_ans
-    digest.pushdown_budget = 0  # force the on-disk path
-    start = time.perf_counter()
-    push_cold_ans = digest.query_many(queries)
-    push_cold = time.perf_counter() - start
-    push_ans, push_repeat = _timed(lambda: digest.query_many(queries))
-    del digest.pushdown_budget
-    assert push_ans == retained_ans, "pushdown diverged (bitwise)"
-    assert push_cold_ans == retained_ans
-    interval_speedup = retained_repeat / max(flat_repeat, 1e-12)
-    records.append({
-        "kernel": "serve:qdigest-stream:retained",
-        "n": N_QUERIES,
-        "summary_size": SIZE,
-        "domain_bits": DOMAIN_BITS,
-        "repeats": REPEATS,
-        "wall_time_s": retained_repeat,
-        "uncached_wall_time_s": retained_cold,
-        "speedup": interval_speedup,
-        "throughput_per_s": REPEATS * N_QUERIES / max(retained_repeat,
-                                                      1e-12),
-    })
-    records.append({
-        "kernel": "pushdown:qdigest-stream",
-        "n": N_QUERIES,
-        "summary_size": SIZE,
-        "domain_bits": DOMAIN_BITS,
-        "repeats": REPEATS,
-        "wall_time_s": push_repeat,
-        "uncached_wall_time_s": push_cold,
-        "throughput_per_s": REPEATS * N_QUERIES / max(push_repeat, 1e-12),
-    })
-    lines.append(
-        f"interval:qdigest-stream retained {retained_repeat:8.4f}s -> "
-        f"flat {flat_repeat:7.4f}s ({interval_speedup:.1f}x), "
-        f"pushdown {push_repeat:7.4f}s"
-    )
-    perf_assert(
-        interval_speedup >= 5.0,
-        f"flat interval kernel {interval_speedup:.1f}x < 5x over retained",
-    )
+    for batch, calls in FRESH:
+        batteries = [_battery(rng, size, batch) for _ in range(calls)]
+        flat_ans, flat_time = _timed_fresh(digest.query_many, batteries)
+        digest.flat_kernel = False
+        retained_ans, retained_time = _timed_fresh(
+            digest.query_many, batteries
+        )
+        digest.flat_kernel = True
+        digest.pushdown_budget = 0  # force the on-disk path
+        push_ans, push_time = _timed_fresh(digest.query_many, batteries,
+                                           trials=1)
+        del digest.pushdown_budget
+        assert flat_ans == retained_ans, "flat kernel diverged (bitwise)"
+        assert push_ans == retained_ans, "pushdown diverged (bitwise)"
+        speedup = retained_time / max(flat_time, 1e-12)
+        for path, seconds in (("flat", flat_time),
+                              ("retained", retained_time),
+                              ("pushdown", push_time)):
+            records.append({
+                "kernel": f"fresh:qdigest-stream:{path}",
+                "n": batch * calls,
+                "batch_size": batch,
+                "summary_size": SIZE,
+                "domain_bits": DOMAIN_BITS,
+                "wall_time_s": seconds,
+                "throughput_per_s": batch * calls / max(seconds, 1e-12),
+                **({"speedup": speedup} if path == "flat" else {}),
+            })
+        lines.append(
+            f"fresh B={batch:<6} retained {retained_time:8.4f}s -> "
+            f"flat {flat_time:7.4f}s ({speedup:.1f}x), "
+            f"pushdown {push_time:7.4f}s  [{calls} batteries]"
+        )
+        perf_assert(
+            speedup >= FRESH_GATE,
+            f"fused flat kernel {speedup:.1f}x < {FRESH_GATE}x over "
+            f"retained on fresh B={batch} batteries",
+        )
 
     lines.append("== Frontend: one-at-a-time vs micro-batched ==")
     for method in GATED:

@@ -87,13 +87,17 @@ def emit_json(results_dir, name, records):
     Writes ``BENCH_<name>.json`` next to the text results so the perf
     trajectory can be tracked across PRs without parsing tables.
     ``records`` is a list of flat dicts (method, size, wall time,
-    throughput, ...); run context (smoke flag, cpu count, platform) is
-    stamped once at the top level.
+    throughput, ...); run context (smoke flag, cpu count, the CPUs this
+    process may run on, platform) is stamped once at the top level.
     """
     payload = {
         "benchmark": name,
         "smoke": SMOKE,
         "cpus": os.cpu_count(),
+        "cpus_affinity": (
+            len(os.sched_getaffinity(0))
+            if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        ),
         "platform": platform.platform(),
         "records": list(records),
     }

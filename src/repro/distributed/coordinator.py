@@ -20,6 +20,7 @@ Two entry points sit on top of the generic :class:`Coordinator`:
 
 from __future__ import annotations
 
+import functools
 import os
 import random
 import threading
@@ -617,6 +618,17 @@ class _Slice:
         self.ckpt_batches = 0     # batches covered by ckpt_state
 
 
+def _serialized(method):
+    """Run a :class:`DistributedIngest` method under the fleet's lock."""
+
+    @functools.wraps(method)
+    def locked(self, *args, **kwargs):
+        with self._lock:
+            return method(self, *args, **kwargs)
+
+    return locked
+
+
 class DistributedIngest:
     """Route a micro-batch stream across workers; fold snapshots on demand.
 
@@ -649,6 +661,11 @@ class DistributedIngest:
     With a :class:`~repro.durable.CheckpointStore` attached, every
     checkpoint is also persisted (per-slice stream keys under
     ``stream_id``), so slice state survives the coordinator too.
+
+    :meth:`process`, :meth:`checkpoint`, :meth:`snapshot` and
+    :meth:`query_many_now` run one at a time under one internal lock,
+    so ingest and serving threads can share a fleet: a snapshot is
+    always cached under the version whose data it holds.
     """
 
     def __init__(
@@ -699,6 +716,8 @@ class DistributedIngest:
         self._replayed_ctr = self._obs.counter(
             "coordinator.batches_replayed"
         )
+        # Serializes ingest, checkpoints and snapshots (_serialized).
+        self._lock = threading.RLock()
         self._version = 0
         self._items = 0
         self._next_request = 0
@@ -880,6 +899,7 @@ class DistributedIngest:
     # ------------------------------------------------------------------
     # Ingest
     # ------------------------------------------------------------------
+    @_serialized
     def process(self, batch) -> None:
         """Route one micro-batch to the next slice (round-robin).
 
@@ -937,6 +957,7 @@ class DistributedIngest:
     # ------------------------------------------------------------------
     # Checkpoints
     # ------------------------------------------------------------------
+    @_serialized
     def checkpoint(self) -> None:
         """Pull every slice's live state up to the coordinator.
 
@@ -1070,6 +1091,7 @@ class DistributedIngest:
         self._snap_cache = (self._version, per_method)
         return per_method
 
+    @_serialized
     def snapshot(self, method: str):
         """The folded queryable summary for ``method`` right now."""
         if method not in self._methods:
@@ -1093,6 +1115,7 @@ class DistributedIngest:
     # ------------------------------------------------------------------
     # Queries / introspection
     # ------------------------------------------------------------------
+    @_serialized
     def query_many_now(self, queries: Sequence) -> Dict[str, List[float]]:
         """Live estimates for a query battery, per method.
 

@@ -372,9 +372,10 @@ class ServedAnswer:
     """Thread-safe handle for one query submitted to a :class:`ServingFrontend`.
 
     Resolved by the frontend's flusher thread; ``done_at`` is stamped
-    (``time.monotonic()``) the moment the answer lands, so open-loop
-    harnesses can measure service completion without depending on when
-    the waiting thread gets scheduled again.
+    (``time.monotonic()``) the moment the answer becomes visible to
+    :meth:`result`, so open-loop harnesses can measure service
+    completion without depending on when the waiting thread gets
+    scheduled again.
     """
 
     __slots__ = ("_cond", "_value", "_error", "tenant", "done_at")
@@ -400,19 +401,6 @@ class ServedAnswer:
             raise self._error
         assert self._value is not None
         return self._value
-
-    # Flusher-thread side ----------------------------------------------
-    def _resolve(self, value: float) -> None:
-        with self._cond:
-            self._value = float(value)
-            self.done_at = time.monotonic()
-            self._cond.notify_all()
-
-    def _fail(self, error: BaseException) -> None:
-        with self._cond:
-            self._error = error
-            self.done_at = time.monotonic()
-            self._cond.notify_all()
 
 
 class _QueueEntry:
@@ -466,7 +454,9 @@ class ServingFrontend:
 
     ``registry`` (default: the process-global one) additionally gates
     the pay-for-what-you-use extras: flush spans, the
-    ``serving.batch_size`` histogram and the live queue-depth gauge.
+    ``serving.batch_size`` histogram, the per-method kernel time
+    ``serving.kernel_seconds{method=...}`` (each method group's backend
+    calls in one flush) and the live queue-depth gauge.
     """
 
     def __init__(
@@ -721,21 +711,47 @@ class ServingFrontend:
                             compile_query_plan(queries)
                             if len(self._backends) > 1 else queries
                         )
-                        per_backend = [
-                            backend.query_many(method, plan)
-                            for backend in self._backends
-                        ]
+                        if self._obs_enabled:
+                            started = time.perf_counter()
+                            per_backend = self._query_backends(method, plan)
+                            self._obs.histogram(
+                                "serving.kernel_seconds", method=method
+                            ).observe(time.perf_counter() - started)
+                        else:
+                            per_backend = self._query_backends(method, plan)
                     except Exception:
                         self._answer_singly(method, entries)
                         continue
-                    for entry, values in zip(entries, zip(*per_backend)):
-                        entry.answer._resolve(sum(values))
+                    self._publish(entries, (
+                        per_backend[0] if len(per_backend) == 1
+                        else [sum(values) for values in zip(*per_backend)]
+                    ))
             self._account_latency(batch)
+
+    def _query_backends(self, method: str, queries) -> List[List[float]]:
+        """Every backend's answers to one method's battery."""
+        return [
+            backend.query_many(method, queries) for backend in self._backends
+        ]
+
+    def _publish(self, entries: List[_QueueEntry], outcomes) -> None:
+        """Make a group's answers (or errors) visible under one lock
+        with one notify; ``done_at`` is that instant."""
+        with self._completion:
+            done_at = time.monotonic()
+            for entry, outcome in zip(entries, outcomes):
+                answer = entry.answer
+                if isinstance(outcome, BaseException):
+                    answer._error = outcome
+                else:
+                    answer._value = float(outcome)
+                answer.done_at = done_at
+            self._completion.notify_all()
 
     def _account_latency(self, batch: List[_QueueEntry]) -> None:
         """Record enqueue->resolve latency per tenant, one pass per flush.
 
-        ``done_at`` is stamped by ``_resolve``/``_fail``, so every
+        ``done_at`` is stamped by :meth:`_publish`, so every
         entry of a flushed batch carries its service time already;
         grouping by tenant and using ``observe_many`` keeps the cost
         per-batch.  Served counts track *answered* queries (failed
@@ -743,34 +759,32 @@ class ServingFrontend:
         """
         by_tenant: Dict[str, List[float]] = {}
         for entry in batch:
-            done_at = entry.answer.done_at
-            if done_at is None:  # pragma: no cover - answer paths stamp it
-                continue
             by_tenant.setdefault(entry.answer.tenant, []).append(
-                done_at - entry.enqueued_at
+                entry.answer.done_at - entry.enqueued_at
             )
-        for tenant, latencies in by_tenant.items():
-            with self._cond:
-                served = self._tenant(
-                    self._tenant_served, tenant, _obs.Counter
-                )
-                hist = self._tenant(
-                    self._tenant_lat, tenant, _obs.Histogram
-                )
+        with self._cond:
+            metrics = [
+                (self._tenant(self._tenant_served, tenant, _obs.Counter),
+                 self._tenant(self._tenant_lat, tenant, _obs.Histogram),
+                 latencies)
+                for tenant, latencies in by_tenant.items()
+            ]
+        for served, hist, latencies in metrics:
             served.inc(len(latencies))
             hist.observe_many(latencies)
 
     def _answer_singly(self, method: str, entries: List[_QueueEntry]) -> None:
         """Fault isolation: pin errors on the queries that actually fail."""
+        outcomes: List[object] = []
         for entry in entries:
             try:
-                total = 0.0
-                for backend in self._backends:
-                    total += float(backend.query_many(method, [entry.query])[0])
+                outcomes.append(sum(
+                    float(backend.query_many(method, [entry.query])[0])
+                    for backend in self._backends
+                ))
             except Exception as error:
-                entry.answer._fail(error)
-            else:
-                entry.answer._resolve(total)
+                outcomes.append(error)
+        self._publish(entries, outcomes)
 
     # ------------------------------------------------------------------
     # Telemetry

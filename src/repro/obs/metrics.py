@@ -193,35 +193,26 @@ class Histogram:
     def observe_many(self, values) -> None:
         """Record a whole batch with one lock acquisition.
 
-        The bucket math is vectorized (``np.frexp`` + ``bincount``),
-        which is how the serving flusher records a flush's worth of
-        per-tenant latencies at ~per-batch rather than per-query cost.
+        A plain loop, not NumPy: the serving flusher records each
+        tenant's handful of latencies per flush, where NumPy's fixed
+        per-call cost (~20 us) would dwarf the ~0.3 us per value.
         """
-        values = np.asarray(values, dtype=float)
-        if values.size == 0:
+        values = [float(value) for value in values]
+        if not values:
             return
-        positive = values[values > 0.0]
-        if positive.size:
-            exps = np.frexp(positive)[1]
-            lo = int(exps.min())
-            counts = np.bincount(exps - lo)
+        frexp = math.frexp
         with self._lock:
-            if positive.size:
-                for offset, count in enumerate(counts):
-                    if count:
-                        exp = lo + offset
-                        self._buckets[exp] = (
-                            self._buckets.get(exp, 0) + int(count)
-                        )
-            self._zero += int(values.size - positive.size)
-            self._count += int(values.size)
-            self._total += float(values.sum())
-            vmin = float(values.min())
-            vmax = float(values.max())
-            if vmin < self._min:
-                self._min = vmin
-            if vmax > self._max:
-                self._max = vmax
+            buckets = self._buckets
+            for value in values:
+                if value > 0.0:
+                    exp = frexp(value)[1]
+                    buckets[exp] = buckets.get(exp, 0) + 1
+                else:
+                    self._zero += 1
+            self._count += len(values)
+            self._total += sum(values)
+            self._min = min(self._min, min(values))
+            self._max = max(self._max, max(values))
 
     # ------------------------------------------------------------------
     # Merging / wire codec

@@ -19,23 +19,21 @@ Rows are kept in the canonical order ``(level, lo, pre)``: each level
 is a sorted run, so subtree and containment lookups become
 ``searchsorted`` range scans and a range-sum battery folds per level
 with one prefix-sum difference per query (see :meth:`IntervalTable.
-range_scan`).  The same columns persist unchanged into the SQLite
+scan_bounds`).  The same columns persist unchanged into the SQLite
 pushdown backend (:mod:`repro.backends.pushdown`) and ship over the
 distributed wire (codec tag ``interval-table``), so the in-memory
 kernels, the out-of-core backend and the transport all share one
 representation.  Encoding, invariants and the SQL shapes are specified
 in ``INTERVALS.md`` next to this module.
 
-The batched scan kernel avoids per-level binary searches over the
-battery: the battery's bounds are sorted once (cached on the
-:class:`~repro.structures.ranges.QueryPlan` via ``sorted_1d``), each
-level's cell run is located by counting *cells* into the sorted bounds
-(``searchsorted`` over the handful of cells, then a ``bincount`` /
-``cumsum`` inversion), and the resulting gather positions plus the
-straddling-cell contributions are compiled once per (table, battery)
-pair -- a repeat battery replays pure gathers and adds.  Answers are
-bit-identical to the retained per-depth loop kernels (pinned in
-``tests/test_interval_store.py``).
+The batched scan kernel answers every level of a battery at once: the
+cells of all levels live in one level-major sorted key array, so one
+rank pass places every query's bounds in every level, and the
+contained runs and straddling cells become ``(levels x B)`` array
+arithmetic -- a serving flush costs a fixed number of NumPy passes, not
+a Python loop over tree levels.  Answers are bit-identical to the
+retained per-depth loop kernel (pinned in
+``tests/test_interval_store.py`` and ``tests/test_fused_kernels.py``).
 """
 
 from __future__ import annotations
@@ -57,6 +55,11 @@ KIND_AGGREGATE = "aggregate"
 KIND_LEAVES = "leaves"
 _KINDS = (KIND_SPARSE, KIND_AGGREGATE, KIND_LEAVES)
 
+#: Cap on ``levels x boxes`` per :meth:`IntervalTable.scan_bounds` pass:
+#: 256 KB temporaries keep a bulk battery's passes in cache (at 2^18 a
+#: B=10k battery ran ~25% slower).
+_SCAN_CELLS = 1 << 15
+
 
 def flat_kernels_default() -> bool:
     """Module-wide default for the flat-kernel flag.
@@ -76,6 +79,28 @@ def use_flat(summary) -> bool:
     if flag is None:
         return flat_kernels_default()
     return bool(flag)
+
+
+def _rank(keys: np.ndarray, probes: np.ndarray,
+          bound: Optional[np.ndarray]) -> np.ndarray:
+    """``searchsorted(keys, probes)`` for ``(levels x B)`` probes.
+
+    Each row of ``probes`` rises with ``bound`` and, unless ``bound`` is
+    None, every row lies at or above the previous one, so one
+    ``argsort`` of ``bound`` sorts all of them.  Past a few probes per
+    key it is cheaper to count the keys into the sorted probes -- one
+    short search per key, then a ``bincount``/``cumsum`` turns the
+    counts into per-probe ranks -- than to binary-search every probe.
+    """
+    if bound is None or probes.size <= max(1024, 2 * keys.size):
+        return np.searchsorted(keys, probes)
+    order = np.argsort(bound)
+    flat = probes[:, order].ravel()
+    counts = np.bincount(np.searchsorted(flat, keys, side="right"),
+                         minlength=flat.size + 1)
+    ranks = np.empty_like(probes)
+    ranks[:, order] = np.cumsum(counts[:-1]).reshape(probes.shape)
+    return ranks
 
 
 def _synth_pre_post(
@@ -122,7 +147,7 @@ class IntervalTable:
     __slots__ = (
         "pre", "post", "level", "lo", "hi", "mass", "kind", "height",
         "level_values", "level_starts", "level_spans",
-        "_prefix", "_cells", "_scan_memo", "_leaf_memo",
+        "_prefix", "_scan_keys", "_leaf_memo",
     )
 
     def __init__(
@@ -187,8 +212,7 @@ class IntervalTable:
             level_spans[j] = chunk[0] if (chunk == chunk[0]).all() else -1
         self.level_spans = level_spans
         self._prefix = None
-        self._cells = None
-        self._scan_memo = None
+        self._scan_keys = None
         self._leaf_memo = None
 
     # ------------------------------------------------------------------
@@ -292,7 +316,7 @@ class IntervalTable:
 
         One row per induced node per level ``0..max_depth`` (default:
         the leaf depth), each carrying its subtree's total weight --
-        the drilldown store: :meth:`range_scan` at the leaf level is
+        the drilldown store: :meth:`scan_bounds` at the leaf level is
         exact, shallower levels answer subtree masses directly.
         """
         keys = np.asarray(keys, dtype=np.int64).reshape(-1)
@@ -429,14 +453,31 @@ class IntervalTable:
             )
         return self._prefix
 
-    def _ensure_cells(self) -> np.ndarray:
-        """Per-row cell index ``lo // span(level)`` (1-D tables)."""
-        if self._cells is None:
-            spans = self.level_spans[
-                np.searchsorted(self.level_values, self.level)
-            ]
-            self._cells = self.lo[:, 0] // spans
-        return self._cells
+    def _ensure_scan_keys(self):
+        """Per-row cells and level-major scan keys (1-D tables, cached).
+
+        Row cells are ``lo // span(level)``.  Level ``j``'s cells map to
+        the keys ``off[j] + (cell - first[j])``, where ``off`` packs the
+        levels' cell ranges ``[first[j], last[j]]`` back to back, so one
+        sorted key array serves every level's ``searchsorted``.  The key
+        space is the sum of the ranges: below ``2^63`` for any dyadic
+        table up to ``height`` 62 (level ``d`` spans at most ``2^d``
+        cells), unlike a fixed per-level stride such as
+        ``level * 2^(height+2)``.
+        """
+        if self._scan_keys is None:
+            starts = self.level_starts
+            counts = np.diff(starts)
+            cells = self.lo[:, 0] // np.repeat(self.level_spans, counts)
+            first = cells[starts[:-1]]
+            last = cells[starts[1:] - 1]
+            widths = last - first + 1
+            if sum(int(w) for w in widths) >= 1 << 63:
+                raise ValueError("interval table too wide to scan")
+            off = np.concatenate(([0], np.cumsum(widths)[:-1]))
+            keys = cells + np.repeat(off - first, counts)
+            self._scan_keys = (keys, cells, off, first, last)
+        return self._scan_keys
 
     def scannable(self) -> bool:
         """Whether the dyadic scan kernel applies: 1-D and every level
@@ -451,166 +492,104 @@ class IntervalTable:
         hi = self.hi[:, 0]
         return lo.shape[0] <= 1 or bool((hi[:-1] < lo[1:]).all())
 
-    def range_scan(self, plan, levels: Optional[Sequence[int]] = None):
-        """Battery range sums over the sorted per-level cell runs.
-
-        ``plan`` is a :class:`~repro.structures.ranges.QueryPlan` (or
-        any object with ``bounds`` and ``sorted_1d()``); returns the
-        per-box sums in ``plan.bounds`` order.  For ``sparse`` tables
-        all levels fold (each item's weight lives in one node); for
-        ``aggregate`` tables the scan restricts to the deepest level
-        unless ``levels`` selects others.  Straddling cells contribute
-        their overlapped span fraction, exactly like the scalar
-        ``range_sum`` path.  The compiled scan -- gather positions and
-        straddler contributions -- is memoized per battery, so a
-        repeated battery replays pure prefix gathers and adds.
-        """
-        if not self.scannable():
-            raise ValueError(
-                "range_scan needs a 1-D table with uniform-span levels"
-            )
-        if levels is None and self.kind == KIND_AGGREGATE:
-            levels = [int(self.level_values[-1])]
-        bounds = plan.bounds
-        key = (id(plan), None if levels is None else tuple(levels))
-        memo = self._scan_memo
-        if memo is None or memo[0] != key:
-            lo = bounds[:, 0, 0]
-            hi = bounds[:, 0, 1]
-            memo = (key, self._compile_scan(lo, hi, plan.sorted_1d(),
-                                            levels), plan)
-            self._scan_memo = memo
-        prefix = self._ensure_prefix()
-        per_box = np.zeros(bounds.shape[0], dtype=float)
-        for pos_lo, pos_hic, lrows, lcontrib, hrows, hcontrib in memo[1]:
-            per_box += prefix[pos_hic] - prefix[pos_lo]
-            if lrows.size:
-                per_box[lrows] += lcontrib
-            if hrows.size:
-                per_box[hrows] += hcontrib
-        return per_box
-
     def scan_bounds(self, lo: np.ndarray, hi: np.ndarray,
                     levels: Optional[Sequence[int]] = None) -> np.ndarray:
-        """:meth:`range_scan` over raw bound arrays (no plan, no memo)."""
+        """Range sums of the boxes ``[lo[i], hi[i]]``, all levels at once.
+
+        For ``sparse`` tables all levels fold (each item's weight lives
+        in one node); for ``aggregate`` tables the scan restricts to the
+        deepest level unless ``levels`` selects others.  Every query's
+        contained cell run and its two straddling-cell candidates are
+        found for every selected level as ``(levels x B)`` arrays, from
+        one rank pass over the level-major keys (:meth:`_ensure_scan_keys`,
+        :func:`_rank`).  Straddling cells contribute their overlapped
+        span fraction, exactly like the scalar ``range_sum`` path.  Per
+        box the sum accumulates level by level -- the run, then the left
+        straddler, then the right one -- which keeps the answers
+        bit-identical to the per-depth loop kernel and the pushdown
+        store (``INTERVALS.md``).
+        """
         if not self.scannable():
             raise ValueError(
-                "range_scan needs a 1-D table with uniform-span levels"
+                "scan_bounds needs a 1-D table with uniform-span levels"
             )
-        if levels is None and self.kind == KIND_AGGREGATE:
-            levels = [int(self.level_values[-1])]
-        lo = np.asarray(lo, dtype=np.int64)
-        hi = np.asarray(hi, dtype=np.int64)
-        order_lo = np.argsort(lo, kind="stable")
-        order_hi = np.argsort(hi, kind="stable")
-        compiled = self._compile_scan(
-            lo, hi, (order_lo, lo[order_lo], order_hi, hi[order_hi]),
-            levels,
-        )
-        prefix = self._ensure_prefix()
-        per_box = np.zeros(lo.shape[0], dtype=float)
-        for pos_lo, pos_hic, lrows, lcontrib, hrows, hcontrib in compiled:
-            per_box += prefix[pos_hic] - prefix[pos_lo]
-            if lrows.size:
-                per_box[lrows] += lcontrib
-            if hrows.size:
-                per_box[hrows] += hcontrib
-        return per_box
-
-    def _compile_scan(self, lo, hi, sorted_1d, levels):
-        """Compile one battery against the table (see module docstring).
-
-        Per selected level the contained cell run ``[a, b]`` is located
-        without per-query binary searches: the level's few cells are
-        positioned among the battery's *sorted* bounds, and the
-        positions invert to per-query run indices through a
-        ``bincount``/``cumsum`` step function.  The two possible
-        straddling cells per query are then the rows adjacent to the
-        run -- no further searches.  Produced indices and contributions
-        are bit-identical to the retained per-depth kernel.
-        """
-        order_lo, sorted_lo, order_hi, sorted_hi = sorted_1d
-        q = lo.shape[0]
-        cells = self._ensure_cells()
-        starts = self.level_starts
-        compiled = []
         if levels is None:
-            selected = range(self.level_values.shape[0])
+            sel = np.arange(self.level_values.shape[0])
+            if self.kind == KIND_AGGREGATE:
+                sel = sel[-1:]
         else:
-            selected = [
-                int(np.searchsorted(self.level_values, lvl))
-                for lvl in levels
-            ]
-            for j, lvl in zip(selected, levels):
+            sel = np.searchsorted(self.level_values, levels)
+            for j, lvl in zip(sel.tolist(), levels):
                 if (j >= self.level_values.shape[0]
                         or self.level_values[j] != lvl):
                     raise ValueError(f"level {lvl} not in table")
-        for j in selected:
-            s = self.level_spans[j]
-            base = int(starts[j])
-            n_j = int(starts[j + 1]) - base
-            cells_j = cells[base:base + n_j]
-            pbase = base + int(np.searchsorted(self.level_values,
-                                               self.level_values[j]))
-            # Contained run [a, b] located by counting cells into the
-            # sorted battery bounds (t/u are per-cell positions; the
-            # bincount/cumsum inverts them to per-query run indices).
-            sorted_a = (sorted_lo + s - 1) // s
-            sorted_b = (sorted_hi + 1) // s - 1
-            t = np.searchsorted(sorted_a, cells_j, side="right")
-            u = np.searchsorted(sorted_b, cells_j, side="left")
-            f = np.cumsum(np.bincount(t, minlength=q + 1))[:q]
-            g = np.cumsum(np.bincount(u, minlength=q + 1))[:q]
-            lo_idx = np.empty(q, dtype=np.int64)
-            hi_idx = np.empty(q, dtype=np.int64)
-            lo_idx[order_lo] = f
-            hi_idx[order_hi] = g
-            pos_lo = pbase + lo_idx
-            pos_hic = pbase + np.maximum(hi_idx, lo_idx)
-            # Straddling cells: at most the one holding each endpoint.
-            a = (lo + s - 1) // s
-            b = (hi + 1) // s - 1
-            c_lo = lo // s
-            c_hi = hi // s
-            lrows, lcontrib = self._straddle(
-                lo, hi, s, base, n_j, cells_j, c_lo,
-                # Unaligned lo: cell a-1 straddles, just left of the
-                # run; aligned narrow (a > b): cell a holds the query.
-                np.where(lo % s != 0, lo_idx - 1,
-                         np.where(a > b, lo_idx, np.int64(-1))),
+        lo = np.asarray(lo, dtype=np.int64)
+        hi = np.asarray(hi, dtype=np.int64)
+        if sel.size == 0 or lo.size == 0:
+            return np.zeros(lo.shape[0], dtype=float)
+        # Keep the (levels x 3 x boxes) working set cache-sized.
+        chunk = max(1, _SCAN_CELLS // sel.size)
+        if lo.shape[0] > chunk:
+            return np.concatenate([
+                self.scan_bounds(lo[i:i + chunk], hi[i:i + chunk], levels)
+                for i in range(0, lo.shape[0], chunk)
+            ])
+        keys, cells, off, first, last = self._ensure_scan_keys()
+        n_sel = sel.size
+        s, off, first, last, start, end = (
+            column[sel][:, None] for column in (
+                self.level_spans, off, first, last, self.level_starts,
+                self.level_starts[1:],
             )
-            hrows, hcontrib = self._straddle(
-                lo, hi, s, base, n_j, cells_j, c_hi,
-                np.where(((hi + 1) % s != 0) & (c_hi != c_lo),
-                         hi_idx, np.int64(-1)),
-            )
-            compiled.append(
-                (pos_lo, pos_hic, lrows, lcontrib, hrows, hcontrib)
-            )
-        return compiled
-
-    def _straddle(self, lo, hi, s, base, n_j, cells_j, cand, local_pos):
-        """Resolve straddling-cell candidates at local positions.
-
-        ``local_pos`` holds each query's candidate row within the
-        level (-1: no candidate); a candidate is real when the row
-        exists and its cell equals ``cand``.  Contributions are the
-        overlapped span fraction, computed with the exact op order of
-        the retained kernel (``mass * overlap / float(span)``).
-        """
-        valid = (local_pos >= 0) & (local_pos < n_j)
-        probe = np.where(valid, local_pos, 0)
-        hit = valid & (cells_j[probe] == cand)
-        rows = np.flatnonzero(hit)
-        if rows.size == 0:
-            return rows, np.zeros(0)
-        n_lo = cand[rows] * s
-        n_hi = n_lo + s - 1
-        overlap = np.minimum(hi[rows], n_hi) - np.maximum(lo[rows], n_lo) + 1
-        contrib = (
-            self.mass[base + local_pos[rows]] * overlap / float(s)
         )
-        return rows, contrib
+        # Contained cell run [a, b] per level; probes clamped into the
+        # level's key range find the first cell >= a and the first
+        # cell > b (searchsorted 'right' on b == 'left' on b + 1).
+        c_lo = lo // s
+        lo_floor = c_lo * s
+        lo_cut = lo != lo_floor
+        a = c_lo + lo_cut
+        hi1 = hi + 1
+        b = hi1 // s - 1
+        hi1_floor = (b + 1) * s
+        hi_cut = hi1 != hi1_floor
+        c_hi = b + hi_cut
+        # Levels given out of order (or twice) cannot share one sort.
+        rising = bool((np.diff(sel) > 0).all())
+        run_lo = _rank(keys, np.minimum(np.maximum(a, first), last + 1)
+                       - first + off, lo if rising else None)
+        run_end = _rank(keys, np.minimum(np.maximum(b, first - 1), last)
+                        - first + off + 1, hi if rising else None)
+        prefix = self._ensure_prefix()
+        parts = np.empty((n_sel, 3, lo.shape[0]))
+        # Level j's prefix values sit j slots after its rows.
+        parts[:, 0] = (prefix[np.maximum(run_end, run_lo) + sel[:, None]]
+                       - prefix[run_lo + sel[:, None]])
+        # Straddling cells, at most the one holding each endpoint: an
+        # unaligned lo's cell sits just left of the run (an aligned box
+        # narrower than a cell, a > b, in the run's first slot); an
+        # unaligned hi's cell just right of it, unless it is lo's.
+        rows = np.stack((
+            np.where(lo_cut, run_lo - 1, np.where(a > b, run_lo, -1)),
+            np.where(hi_cut & (c_hi != c_lo), run_end, -1),
+        ))
+        inside = (rows >= start) & (rows < end)
+        rows = np.where(inside, rows, 0)
+        # Overlap with [lo, hi]: lo's cell starts at or before lo, hi's
+        # cell ends at or after hi.
+        overlap = np.stack((np.minimum(hi1, lo_floor + s) - lo,
+                            hi1 - np.maximum(lo, hi1_floor)))
+        parts[:, 1:] = np.where(
+            inside & (cells[rows] == np.stack((c_lo, c_hi))),
+            self.mass[rows] * overlap / s.astype(float), 0.0,
+        ).transpose(1, 0, 2)
+        # Summing down axis 0 adds the rows strictly in order per box; a
+        # lone box would reduce as one contiguous run, which NumPy sums
+        # pairwise, so it takes the running sum instead.
+        parts = parts.reshape(3 * n_sel, -1)
+        if lo.shape[0] == 1:
+            return np.cumsum(parts, axis=0)[-1]
+        return np.add.reduce(parts, axis=0)
 
     # ------------------------------------------------------------------
     # Disjoint-leaf kernel (batch q-digest 1-D fast path)

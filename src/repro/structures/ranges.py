@@ -23,16 +23,18 @@ of a query battery, built once by :func:`compile_query_plan`:
   kernels that want per-query-aligned rectangular broadcasting instead
   of ragged ``reduceat`` folds.
 
-Plans are cached at two levels: each :class:`Box` /
-:class:`MultiRangeQuery` memoizes its own stacked bounds (queries are
-immutable, so the memo is one-shot), and :class:`SortOrderCache` keeps
-the last compiled battery so repeated batteries over a snapshot skip
-even the concatenation.
+An all-:class:`Box` battery -- what a serving flush compiles -- is
+stacked from the boxes' fields in one array construction.  Batteries
+with :class:`MultiRangeQuery` members concatenate per-query stacks,
+which each query memoizes (queries are immutable, so the memo is
+one-shot).  :class:`SortOrderCache` keeps the last compiled battery so
+repeated batteries over a snapshot skip the stacking entirely.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -317,18 +319,25 @@ def stack_boxes(boxes) -> np.ndarray:
     """Stack box bounds into a ``(q, d, 2)`` integer array.
 
     ``out[i, :, 0]`` are ``boxes[i].lows`` and ``out[i, :, 1]`` the
-    highs.  This is the layout :meth:`Box.contains_many` consumes.
+    highs.  This is the layout :meth:`Box.contains_many` consumes.  The
+    fields are read as sequences in one array construction, never
+    combined with ``+``: they may be tuples, lists or NumPy arrays (on
+    which ``lows + highs`` adds).
     """
     boxes = list(boxes)
     if not boxes:
         return np.zeros((0, 0, 2), dtype=np.int64)
-    dims = boxes[0].dims
-    if any(b.dims != dims for b in boxes):
+    dims = len(boxes[0].lows)
+    if any(len(box.lows) != dims for box in boxes):
         raise ValueError("all boxes must share dimensionality")
-    lows = np.asarray([box.lows for box in boxes], dtype=np.int64)
-    highs = np.asarray([box.highs for box in boxes], dtype=np.int64)
-    return np.stack((lows.reshape(len(boxes), dims),
-                     highs.reshape(len(boxes), dims)), axis=2)
+    flat = chain.from_iterable
+    values = np.fromiter(
+        flat(flat((box.lows, box.highs) for box in boxes)),
+        dtype=np.int64, count=2 * dims * len(boxes),
+    )
+    return np.ascontiguousarray(
+        values.reshape(len(boxes), 2, dims).transpose(0, 2, 1)
+    )
 
 
 class QueryPlan(Sequence):
@@ -344,17 +353,25 @@ class QueryPlan(Sequence):
     * :attr:`bounds` -- flat ``(B, d, 2)`` stack of every constituent
       box in battery order; :attr:`counts` / :attr:`offsets` delimit
       each query's boxes; :meth:`reduce_boxes` folds per-box values
-      back onto queries.
+      back onto queries.  An all-:class:`Box` battery (the serving
+      shape) is stacked straight from the boxes' fields in one array
+      construction; batteries with :class:`MultiRangeQuery` members
+      concatenate each query's memoized ``stacked_bounds()``.
     * :meth:`padded` -- ``(q, r, d, 2)`` with ``r = max(counts)``,
       left-aligned and padded with the empty sentinel box ``lo=0,
       hi=-1`` (computed lazily, cached on the plan).
     """
 
-    __slots__ = ("queries", "bounds", "counts", "offsets", "_padded",
-                 "_sorted_1d")
+    __slots__ = ("queries", "bounds", "counts", "offsets", "_padded")
 
     def __init__(self, queries: List[Union[Box, MultiRangeQuery]]):
         self.queries = queries
+        self._padded: Optional[np.ndarray] = None
+        if queries and all(isinstance(query, Box) for query in queries):
+            self.bounds = stack_boxes(queries)
+            self.counts = np.ones(len(queries), dtype=np.int64)
+            self.offsets = np.arange(len(queries), dtype=np.int64)
+            return
         parts = [
             query.stacked_bounds() for query in queries
         ]
@@ -373,32 +390,9 @@ class QueryPlan(Sequence):
         self.offsets = np.concatenate(
             ([0], np.cumsum(self.counts)[:-1])
         ) if parts else np.zeros(0, dtype=np.int64)
-        self._padded: Optional[np.ndarray] = None
-        self._sorted_1d: Optional[Tuple[np.ndarray, ...]] = None
 
     def __len__(self) -> int:
         return len(self.queries)
-
-    def sorted_1d(self) -> Tuple[np.ndarray, ...]:
-        """Sorted views of the 1-D bounds, cached on the plan.
-
-        Returns ``(order_lo, sorted_lo, order_hi, sorted_hi)`` where
-        ``sorted_lo = bounds[:, 0, 0][order_lo]`` (stable argsort) and
-        likewise for the high bounds.  The interval-table scan kernel
-        (:meth:`repro.structures.intervals.IntervalTable.range_scan`)
-        uses these to place each level's cells among the battery's
-        bounds by counting instead of per-query binary searches; the
-        sort amortizes across every summary served from the same plan.
-        """
-        if self._sorted_1d is None:
-            lo = self.bounds[:, 0, 0]
-            hi = self.bounds[:, 0, 1]
-            order_lo = np.argsort(lo, kind="stable")
-            order_hi = np.argsort(hi, kind="stable")
-            self._sorted_1d = (
-                order_lo, lo[order_lo], order_hi, hi[order_hi]
-            )
-        return self._sorted_1d
 
     def __getitem__(self, index):
         return self.queries[index]

@@ -376,12 +376,12 @@ class StreamingQDigest(Summary, IncrementalSummary):
         """Estimates for a whole battery over the interval table.
 
         The default path encodes the node tree as a flat
-        :class:`IntervalTable` and runs its compiled battery scan
-        (:meth:`IntervalTable.range_scan`): the battery's bounds are
-        sorted once on the plan, each depth's cells are placed among
-        them by counting, and the compiled gather replays for repeat
-        batteries.  When the table exceeds the pushdown RAM budget the
-        same battery is answered out-of-core by the SQLite backend.
+        :class:`IntervalTable` and runs its level-fused battery scan
+        (:meth:`IntervalTable.scan_bounds`): one rank pass places
+        every box in every depth, and runs and straddling cells fold
+        as ``(depths x B)`` arrays.  When the table exceeds the
+        pushdown RAM budget the same battery is answered out-of-core
+        by the SQLite backend.
         Setting ``flat_kernel = False`` (or ``REPRO_FLAT_KERNELS=0``)
         retains the historical per-depth ``searchsorted`` kernel; all
         three paths are bit-identical.
@@ -396,13 +396,11 @@ class StreamingQDigest(Summary, IncrementalSummary):
         if use_flat(self):
             table = self.interval_table()
             spilled = self._spill_backend(table)
+            lo, hi = plan.bounds[:, 0, 0], plan.bounds[:, 0, 1]
             if spilled is not None:
-                bounds = plan.bounds
-                per_box = spilled.range_sums(
-                    bounds[:, 0, 0], bounds[:, 0, 1]
-                )
+                per_box = spilled.range_sums(lo, hi)
             else:
-                per_box = table.range_scan(plan)
+                per_box = table.scan_bounds(lo, hi)
         else:
             per_box = self._query_many_levels(plan)
         return plan.reduce_boxes(per_box).tolist()

@@ -24,11 +24,11 @@ a monolithic build of the union.
 from __future__ import annotations
 
 from collections import defaultdict
+from itertools import product
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.chain import run_starts
 from repro.core.types import Dataset
 from repro.structures.dyadic import (
     dyadic_decompose_interval,
@@ -47,6 +47,19 @@ _MASK64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 #: Hash seed used when the caller does not supply one; shared by every
 #: build so independently-built sketches merge by default.
 DEFAULT_HASH_SEED = 0xC0FFEE
+
+
+def _hash(keys, mul, add, sign_mul, sign_add, width):
+    """Multiply-shift buckets and ``+-1`` signs of uint64 ``keys``.
+
+    The four hash constants broadcast against ``keys``: one row's
+    scalars, a ``(depth, 1)`` column for every row, or one row per key
+    for the stacked level sketches of :class:`DyadicSketchSummary`.
+    """
+    with np.errstate(over="ignore"):
+        buckets = ((keys * mul + add) >> np.uint64(33)) % np.uint64(width)
+        sign_bits = (keys * sign_mul + sign_add) >> np.uint64(63)
+    return buckets, 1.0 - 2.0 * sign_bits
 
 
 class CountSketch:
@@ -88,35 +101,29 @@ class CountSketch:
             0, 2**63, size=self.depth, dtype=np.uint64
         )
 
-    def _buckets_and_signs(
-        self, keys: np.ndarray, row: int
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        keys = keys.astype(np.uint64, copy=False)
-        with np.errstate(over="ignore"):
-            mixed = keys * self._bucket_mul[row] + self._bucket_add[row]
-            buckets = (mixed >> np.uint64(33)) % np.uint64(self.width)
-            sign_bits = (keys * self._sign_mul[row] + self._sign_add[row]) >> np.uint64(63)
-        signs = np.where(sign_bits.astype(np.int64) == 0, 1.0, -1.0)
-        return buckets.astype(np.int64), signs
+    def _hash_rows(self, keys, rows) -> Tuple[np.ndarray, np.ndarray]:
+        """:func:`_hash` of ``keys`` under row ``rows`` (or a column of
+        rows, hashing every key for each)."""
+        return _hash(
+            np.asarray(keys).astype(np.uint64, copy=False),
+            self._bucket_mul[rows], self._bucket_add[rows],
+            self._sign_mul[rows], self._sign_add[rows], self.width,
+        )
 
     def update_many(self, keys: np.ndarray, values: np.ndarray) -> None:
         """Add ``values`` to the sketch under ``keys`` (vectorized)."""
-        keys = np.asarray(keys)
         values = np.asarray(values, dtype=float)
         for row in range(self.depth):
-            buckets, signs = self._buckets_and_signs(keys, row)
+            buckets, signs = self._hash_rows(keys, row)
             np.add.at(self._table[row], buckets, signs * values)
 
     def estimate_many(self, keys: np.ndarray) -> np.ndarray:
         """Median-of-rows estimates for a batch of keys."""
-        keys = np.asarray(keys)
-        if keys.size == 0:
+        if np.size(keys) == 0:
             return np.zeros(0)
-        estimates = np.empty((self.depth, keys.shape[0]))
-        for row in range(self.depth):
-            buckets, signs = self._buckets_and_signs(keys, row)
-            estimates[row] = self._table[row][buckets] * signs
-        return np.median(estimates, axis=0)
+        rows = np.arange(self.depth)[:, None]
+        buckets, signs = self._hash_rows(keys, rows)
+        return np.median(self._table[rows, buckets] * signs, axis=0)
 
     def estimate(self, key: int) -> float:
         """Estimate for a single key."""
@@ -244,14 +251,7 @@ class DyadicSketchSummary(Summary, IncrementalSummary):
         self._dims = domain.dims
         self._bits = tuple(_axis_bits(size) for size in domain.sizes)
         self._depth = int(depth)
-        if self._dims == 1:
-            level_pairs = [(dx,) for dx in range(self._bits[0] + 1)]
-        else:
-            level_pairs = [
-                (dx, dy)
-                for dx in range(self._bits[0] + 1)
-                for dy in range(self._bits[1] + 1)
-            ]
+        level_pairs = self._level_pairs()
         self._width = max(1, s // (len(level_pairs) * depth))
         self._sketches: Dict[tuple, CountSketch] = {
             pair: CountSketch(self._width, depth, hash_rng)
@@ -260,6 +260,11 @@ class DyadicSketchSummary(Summary, IncrementalSummary):
         self._version = 0
         if dataset is not None:
             self.update(dataset.coords, dataset.weights)
+
+    def _level_pairs(self) -> List[tuple]:
+        """Every dyadic level(-pair), ``x`` major: pair ``(dx, dy)`` has
+        index ``dx * (bits_y + 1) + dy``."""
+        return list(product(*(range(bits + 1) for bits in self._bits)))
 
     @classmethod
     def for_domain(
@@ -408,14 +413,13 @@ class DyadicSketchSummary(Summary, IncrementalSummary):
     def query_many(self, queries: Iterable) -> List[float]:
         """Estimates for a whole battery in one decomposition pass.
 
-        All query intervals are dyadically decomposed at once
-        (:func:`~repro.structures.dyadic.dyadic_decompose_intervals`),
-        cell ids are deduplicated across queries, and each level(-pair)
-        sketch is probed with exactly one :meth:`CountSketch.
-        estimate_many` call -- ``O(bits)`` (1-D) or ``O(bits^2)`` (2-D)
-        kernel calls for the whole battery instead of per query.
-        Answers match the scalar :meth:`query` up to floating-point
-        summation order.
+        All query boxes are dyadically decomposed at once
+        (:meth:`_cover`), every cell or rectangle of every level is
+        estimated in one pass over the stacked level sketches
+        (:meth:`_estimate`), and the estimates add into their boxes in
+        the per-level kernels' order -- bit-identical to probing each
+        level sketch in turn.  Answers match the scalar :meth:`query`
+        up to floating-point summation order.
         """
         plan = battery_plans(self).fetch_plan(queries)
         if len(plan) == 0:
@@ -426,44 +430,74 @@ class DyadicSketchSummary(Summary, IncrementalSummary):
                 f"queries are {plan.dims}-D"
             )
         bounds = plan.bounds
-        per_box = np.zeros(bounds.shape[0], dtype=float)
-        if self._dims == 1:
-            self._accumulate_1d(bounds, np.arange(bounds.shape[0]), per_box)
-        else:
-            # Cap the materialized rectangle count: a 2-D box yields up
-            # to (2 bits_x)(2 bits_y) rectangles.
-            per_box_rects = 4 * self._bits[0] * self._bits[1]
-            chunk = max(1, 4_000_000 // max(1, per_box_rects))
-            for start in range(0, bounds.shape[0], chunk):
-                stop = min(bounds.shape[0], start + chunk)
-                self._accumulate_2d(bounds[start:stop], start, per_box)
-        return plan.reduce_boxes(per_box).tolist()
+        # Cap the hashed (cell, row) pairs per chunk: a box covers up
+        # to 2 bits cells per axis.
+        chunk = max(1, 4_000_000 // (
+            self._depth * int(np.prod([2 * bits for bits in self._bits]))
+        ))
+        per_box = []
+        for start in range(0, bounds.shape[0], chunk):
+            part = bounds[start:start + chunk]
+            pairs, keys, owners = self._cover(part)
+            per_box.append(np.bincount(
+                owners, weights=self._estimate(pairs, keys),
+                minlength=part.shape[0],
+            ))
+        return plan.reduce_boxes(np.concatenate(per_box)).tolist()
 
-    def _accumulate_1d(
-        self, bounds: np.ndarray, owners: np.ndarray, per_box: np.ndarray
-    ) -> None:
-        """Add every box's 1-D estimate into ``per_box``."""
-        depths, cells, cell_owner = dyadic_decompose_intervals(
-            bounds[:, 0, 0], bounds[:, 0, 1], self._bits[0]
-        )
-        owner = owners[cell_owner]
-        for start, stop in _depth_runs(depths):
-            depth = int(depths[start])
-            keys = cells[start:stop].astype(np.uint64)
-            uniq, inverse = np.unique(keys, return_inverse=True)
-            estimates = self._sketches[(depth,)].estimate_many(uniq)
-            np.add.at(per_box, owner[start:stop], estimates[inverse])
+    def _stacked_levels(self):
+        """Every level sketch's table and hash constants, stacked.
 
-    def _accumulate_2d(
-        self, bounds: np.ndarray, offset: int, per_box: np.ndarray
-    ) -> None:
-        """Add one chunk of boxes' 2-D estimates into ``per_box``.
-
-        The per-axis decompositions are crossed into rectangles with
-        repeat/rank arithmetic (no per-query Python), grouped by level
-        pair, and each level pair's packed cell ids are deduplicated
-        before the single ``estimate_many`` probe.
+        ``tables`` holds the ``(depth, width)`` tables back to back in
+        :meth:`_level_pairs` order; ``consts[:, p]`` holds pair ``p``'s
+        per-row bucket multipliers and addends, sign multipliers and
+        addends, and the rows' offsets into ``tables``.  Rebuilt only
+        after :meth:`update` bumps :attr:`version`.
         """
+        cached = self.__dict__.get("_stacked")
+        if cached is None or cached[0] != self._version:
+            states = [self._sketches[pair].to_state()
+                      for pair in self._level_pairs()]
+            rows = np.arange(len(states) * self._depth, dtype=np.uint64)
+            consts = np.array([
+                [state[name] for state in states]
+                for name in ("bucket_mul", "bucket_add", "sign_mul",
+                             "sign_add")
+            ] + [rows.reshape(len(states), -1) * np.uint64(self._width)],
+                dtype=np.uint64)
+            tables = np.concatenate([state["table"].ravel()
+                                     for state in states])
+            cached = (self._version, tables, consts)
+            self.__dict__["_stacked"] = cached
+        return cached[1], cached[2]
+
+    def _estimate(self, pairs: np.ndarray, keys: np.ndarray) -> np.ndarray:
+        """Estimates of cells ``keys`` at level-pair indices ``pairs``.
+
+        Every cell is hashed for every row in one :func:`_hash` call, on
+        the pair's constants, and the median over rows taken -- bit for
+        bit the level sketch's own ``estimate_many``.  A cell shared by
+        several boxes is simply estimated once per box.
+        """
+        tables, consts = self._stacked_levels()
+        mul, add, sign_mul, sign_add, rows = consts.take(pairs, axis=1)
+        buckets, signs = _hash(keys.astype(np.uint64)[:, None], mul, add,
+                               sign_mul, sign_add, self._width)
+        return np.median(tables[rows + buckets] * signs, axis=1)
+
+    def _cover(self, bounds: np.ndarray):
+        """``(level-pair indices, cell keys, owners)`` covering a chunk
+        of boxes, in the order the estimates add into each box.
+
+        1-D: the dyadic decomposition's order.  2-D: the per-axis
+        decompositions crossed into rectangles with repeat/rank
+        arithmetic (no per-query Python), grouped by level pair
+        (stable).
+        """
+        if self._dims == 1:
+            return dyadic_decompose_intervals(
+                bounds[:, 0, 0], bounds[:, 0, 1], self._bits[0]
+            )
         n_boxes = bounds.shape[0]
         dx, ix, ox = dyadic_decompose_intervals(
             bounds[:, 0, 0], bounds[:, 0, 1], self._bits[0]
@@ -495,26 +529,4 @@ class DyadicSketchSummary(Summary, IncrementalSummary):
         )
         pair_id = rect_dx * (self._bits[1] + 1) + rect_dy
         order = np.argsort(pair_id, kind="stable")
-        pair_id = pair_id[order]
-        packed = packed[order]
-        owner = rect_owner[order] + offset
-        for start, stop in _depth_runs(pair_id):
-            pair = (
-                int(pair_id[start]) // (self._bits[1] + 1),
-                int(pair_id[start]) % (self._bits[1] + 1),
-            )
-            uniq, inverse = np.unique(packed[start:stop], return_inverse=True)
-            estimates = self._sketches[pair].estimate_many(uniq)
-            np.add.at(per_box, owner[start:stop], estimates[inverse])
-
-
-def _depth_runs(group_ids: np.ndarray):
-    """(start, stop) pairs of each run of equal values in ``group_ids``.
-
-    Thin generator over :func:`repro.core.chain.run_starts`, the shared
-    run-boundary helper.
-    """
-    starts = run_starts(group_ids)
-    stops = np.append(starts[1:], group_ids.size)
-    for start, stop in zip(starts, stops):
-        yield int(start), int(stop)
+        return pair_id[order], packed[order], rect_owner[order]

@@ -1,5 +1,9 @@
 """Distributed streaming ingest + the query-serving frontend."""
 
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -269,3 +273,86 @@ class TestPaneHandOff:
         folded = fold_merge(decoded)
         # Two sealed panes of 10 batches x 20 unit-weight items each.
         assert folded.total == pytest.approx(400.0)
+
+
+
+class TestConcurrentFleet:
+    """Ingest and serving threads sharing one fleet."""
+
+    def test_snapshot_racing_process_holds_the_batch(self):
+        """A ``process()`` on another thread while a collect is in
+        flight must not get its version attached to the collect's
+        older data: the next ``snapshot()`` holds the batch."""
+        with DistributedIngest(
+            line_domain(256), ["exact"], 50, num_workers=2, seed=0
+        ) as fleet:
+            fleet.process(MicroBatch([[1], [2]], [1.0, 2.0]))
+            coordinator = fleet._coordinator
+            gather = coordinator.gather
+            in_gather = threading.Event()
+            release = threading.Event()
+
+            def paused_gather(*args, **kwargs):
+                in_gather.set()
+                assert release.wait(10.0)
+                return gather(*args, **kwargs)
+
+            coordinator.gather = paused_gather
+            collector = threading.Thread(
+                target=fleet.snapshot, args=("exact",), daemon=True
+            )
+            collector.start()
+            assert in_gather.wait(10.0)
+            coordinator.gather = gather
+            ingester = threading.Thread(
+                target=fleet.process, args=(MicroBatch([[3]], [4.0]),),
+                daemon=True,
+            )
+            ingester.start()
+            ingester.join(0.5)  # finishes now only if nothing serializes it
+            release.set()
+            collector.join(10.0)
+            ingester.join(10.0)
+            assert not collector.is_alive() and not ingester.is_alive()
+            assert fleet.snapshot("exact").total_weight() == pytest.approx(
+                7.0
+            )
+
+    def test_concurrent_ingest_and_snapshots_lose_nothing(self):
+        """Writers and readers hammer one fleet with a tiny switch
+        interval: no version bump or request id may be lost, and the
+        last snapshot holds every batch."""
+        writers, batches = 4, 25
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with DistributedIngest(
+                line_domain(256), ["exact"], 50, num_workers=2, seed=0
+            ) as fleet:
+                def write(offset):
+                    for i in range(batches):
+                        fleet.process(
+                            MicroBatch([[(offset + i) % 256]], [1.0])
+                        )
+
+                def read():
+                    for _ in range(batches):
+                        fleet.snapshot("exact")
+
+                threads = [
+                    threading.Thread(target=write, args=(w,), daemon=True)
+                    for w in range(writers)
+                ] + [threading.Thread(target=read, daemon=True)
+                     for _ in range(2)]
+                for thread in threads:
+                    thread.start()
+                deadline = time.monotonic() + 60.0
+                for thread in threads:
+                    thread.join(max(0.0, deadline - time.monotonic()))
+                assert not any(thread.is_alive() for thread in threads)
+                assert fleet.version == writers * batches
+                assert fleet.snapshot("exact").total_weight() == (
+                    pytest.approx(float(writers * batches))
+                )
+        finally:
+            sys.setswitchinterval(switch)

@@ -482,6 +482,40 @@ class TestPerTenantAccounting:
         service.close()
 
 
+class TestKernelSeconds:
+    def test_per_method_kernel_time(self, registry):
+        """Each method group's backend calls land in one labelled
+        histogram observation per flush, inside the flush span."""
+        service = ServingFrontend(_static_supplier(dataset()),
+                                  batch_size=64, start=False)
+        for query in battery():
+            service.submit("exact", query)
+        for query in battery()[:2]:
+            service.submit("obliv", query)
+        service.flush()
+        service.flush()  # nothing queued: no kernel call, no observation
+        snap = registry.snapshot()
+        kernels = 0.0
+        for method in ("exact", "obliv"):
+            hist = snap[f"serving.kernel_seconds{{method={method}}}"]
+            assert hist["count"] == 1 and hist["total"] > 0.0
+            kernels += hist["total"]
+        (flush,) = registry.trace.spans("serving.flush")
+        assert kernels <= flush["duration"]
+        service.close()
+
+    def test_disabled_registry_records_nothing(self):
+        reg = MetricsRegistry(enabled=False)
+        service = ServingFrontend(_static_supplier(dataset()),
+                                  start=False, registry=reg)
+        handle = service.submit("exact", battery()[0])
+        service.flush()
+        assert handle.result(1.0) > 0.0
+        assert not any(key.startswith("serving.kernel_seconds")
+                       for key in reg.snapshot())
+        service.close()
+
+
 def _static_supplier(data):
     from repro.engine.registry import build
 
