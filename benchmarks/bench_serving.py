@@ -3,11 +3,12 @@
 Three measurements against frozen summaries behind the snapshot-
 supplier protocol:
 
-1. **Closed-loop single caller** (the PR 5 frontend shape): one thread
-   submits a query and waits for its answer before submitting the
-   next.  With nobody else filling the batch, every ``result()``
-   lazily flushes a batch of one -- the serving throughput collapses
-   to the scalar kernel path no matter how large ``batch_size`` is.
+1. **Closed-loop single caller**: one thread asks for one answer and
+   waits for it before asking for the next.  With nobody else filling
+   a batch, every query is a battery of one
+   (``QueryFrontend.query_many(method, [query])``) -- the serving
+   throughput collapses to the scalar kernel path no matter how large
+   a batch the service would allow.
 2. **Async service, concurrent tenants**: the same queries, same
    ``batch_size``, through a :class:`ServingFrontend` -- several
    tenant threads keep a pipeline of submissions open, the flusher
@@ -104,10 +105,10 @@ def _battery(rng, size, n_queries):
 
 
 def _closed_loop(frontend, method, queries):
-    """Single caller, one outstanding query: submit then wait, repeat."""
+    """Single caller, one outstanding query: a battery of one, repeat."""
     start = time.perf_counter()
     answers = [
-        frontend.submit(method, query).result() for query in queries
+        frontend.query_many(method, [query])[0] for query in queries
     ]
     return answers, time.perf_counter() - start
 
@@ -205,7 +206,7 @@ def test_serving(results_dir):
     async_rates = {}
     for method in METHODS:
         supplier = _StaticSupplier(summaries)
-        closed_frontend = QueryFrontend(supplier, batch_size=BATCH)
+        closed_frontend = QueryFrontend(supplier)
         ref, closed_time = _closed_loop(closed_frontend, method, queries)
         closed_rate = len(queries) / max(closed_time, 1e-12)
 

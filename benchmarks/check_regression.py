@@ -1,10 +1,11 @@
 """Benchmark regression gate: fresh BENCH_*.json vs committed baselines.
 
-Usage (what the CI ``bench-regression`` job runs)::
+Usage (what the CI ``bench-smoke`` job runs)::
 
     BENCH_SMOKE=1 BENCH_RESULTS_DIR=/tmp/bench-fresh pytest bench_*.py
     python check_regression.py --baseline results/smoke \
-        --fresh /tmp/bench-fresh
+        --fresh /tmp/bench-fresh --min-seconds 0.05 \
+        --max-obs-overhead 1.05 --max-checkpoint-overhead 1.10
 
 Records are matched across the two directories by benchmark name plus
 every non-measurement field (method, mode, series, sizes, ...).  Each

@@ -61,7 +61,7 @@ def results_dir():
     """Directory where figure tables are written.
 
     ``BENCH_RESULTS_DIR`` overrides the default ``benchmarks/results``
-    -- the bench-regression CI job points fresh smoke runs at a scratch
+    -- the bench-smoke CI job points fresh smoke runs at a scratch
     directory so the committed baselines stay comparable.
     """
     override = os.environ.get("BENCH_RESULTS_DIR", "")

@@ -31,15 +31,15 @@ frame, which is safe here precisely because the cache never mutates a
 snapshot -- it only queries it.
 
 **Micro-batching.**  Query traffic usually arrives one query at a
-time; answering each alone forfeits the batched kernels.  With
-``batch_size > 1`` the frontend collects submitted queries
-(:meth:`QueryFrontend.submit` returns a :class:`PendingAnswer`
-immediately) and answers each method's accumulated battery with *one*
-``query_many`` kernel call per flush -- amortizing the query-plan
-compilation, the snapshot lookup and the cached sort orders across the
-batch.  A flush happens automatically when ``batch_size`` queries are
-pending, explicitly via :meth:`QueryFrontend.flush`, or lazily the
-first time a pending answer is read.
+time; answering each alone forfeits the batched kernels.
+:class:`ServingFrontend` is the one micro-batcher: callers
+:meth:`~ServingFrontend.submit` single queries (from many threads, or
+one caller with ``start=False`` and explicit
+:meth:`~ServingFrontend.flush` calls), and each flush answers every
+method's accumulated battery with *one* ``query_many`` kernel call per
+supplier -- amortizing the query-plan compilation, the snapshot lookup
+and the cached sort orders across the batch.  It answers through one
+:class:`QueryFrontend` per supplier.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict, deque
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro import obs as _obs
 from repro.structures.ranges import Box, QueryPlan, compile_query_plan
@@ -135,39 +135,6 @@ for _name in FrontendStats._FIELDS:
 del _name
 
 
-class PendingAnswer:
-    """Handle for a micro-batched query (resolved at the next flush)."""
-
-    __slots__ = ("_frontend", "_value", "_error")
-
-    def __init__(self, frontend: "QueryFrontend"):
-        self._frontend = frontend
-        self._value: Optional[float] = None
-        self._error: Optional[BaseException] = None
-
-    @property
-    def ready(self) -> bool:
-        """Whether the answer (or its failure) has been computed."""
-        return self._value is not None or self._error is not None
-
-    def result(self) -> float:
-        """The answer, flushing the frontend's pending batch if needed.
-
-        Re-raises the kernel's exception when this query's flush group
-        failed (e.g. a dimensionality mismatch).
-        """
-        if not self.ready:
-            try:
-                self._frontend.flush()
-            except Exception:
-                pass  # the failure is recorded on the affected handles
-        if self._error is not None:
-            raise self._error
-        if self._value is None:  # pragma: no cover - internal invariant
-            raise RuntimeError("flush did not resolve this query")
-        return self._value
-
-
 def _supplier_version(supplier) -> int:
     """The supplier's state version (stream engines count batches)."""
     version = getattr(supplier, "version", None)
@@ -192,22 +159,13 @@ class QueryFrontend:
         state changes.
     slots:
         Maximum ``(method, version)`` snapshot entries retained.
-    batch_size:
-        Micro-batching knob: :meth:`submit` collects up to this many
-        queries before answering them all with one kernel call per
-        method.  The default of 1 answers every submission
-        immediately (one-at-a-time serving).
     """
 
-    def __init__(self, supplier, *, slots: int = 8, batch_size: int = 1):
+    def __init__(self, supplier, *, slots: int = 8):
         if slots < 1:
             raise ValueError("need at least one cache slot")
-        if batch_size < 1:
-            raise ValueError("batch size must be >= 1")
         self._supplier = supplier
         self._slots = int(slots)
-        self._batch_size = int(batch_size)
-        self._pending: List[Tuple[str, object, PendingAnswer]] = []
         self._cache: "OrderedDict[tuple, object]" = OrderedDict()
         self.stats = FrontendStats()
         _obs.get_registry().attach(self.stats)
@@ -282,83 +240,6 @@ class QueryFrontend:
             method: self.query_many(method, plan) for method in methods
         }
 
-    # ------------------------------------------------------------------
-    # Micro-batched serving
-    # ------------------------------------------------------------------
-    def submit(self, method: str, query) -> PendingAnswer:
-        """Enqueue one query for micro-batched answering.
-
-        Returns a :class:`PendingAnswer` immediately; the answer is
-        computed when ``batch_size`` queries are pending (automatic
-        flush), on an explicit :meth:`flush`, or lazily when the
-        handle's :meth:`~PendingAnswer.result` is first read.  Answers
-        match one-at-a-time :meth:`query` calls against the same
-        supplier version up to the batched kernels' floating-point
-        summation order (<= 1e-9 relative; bit-identical for kernels
-        that share the scalar path's float semantics) -- micro-batching
-        changes the kernel granularity, not the estimator.
-        """
-        handle = PendingAnswer(self)
-        self._pending.append((method, query, handle))
-        self.stats.inc("submitted")
-        if len(self._pending) >= self._batch_size:
-            try:
-                self.flush()
-            except Exception:
-                # A neighboring group's kernel failure is recorded on
-                # that group's handles (their result() re-raises it);
-                # this caller still gets its own handle back.
-                pass
-        return handle
-
-    def flush(self) -> int:
-        """Answer every pending query with one kernel call per method.
-
-        Returns the number of queries resolved.  Pending queries are
-        grouped by method (submission order preserved within a group)
-        and each group is answered by a single ``query_many`` against
-        the method's cached snapshot.  When a group's kernel call
-        fails, the group falls back to per-query answering so one
-        malformed query cannot poison its co-batched neighbors: only
-        the actually-failing queries carry the error (their
-        ``result()`` re-raises it).  The first such failure is then
-        re-raised here; auto-flushes from :meth:`submit` swallow it.
-        """
-        if not self._pending:
-            return 0
-        pending, self._pending = self._pending, []
-        by_method: "OrderedDict[str, List[Tuple[object, PendingAnswer]]]" = (
-            OrderedDict()
-        )
-        for method, query, handle in pending:
-            by_method.setdefault(method, []).append((query, handle))
-        first_error: Optional[Exception] = None
-        for method, entries in by_method.items():
-            try:
-                answers = self.query_many(method, [q for q, _h in entries])
-            except Exception:
-                # Fault isolation: answer the group one query at a
-                # time (still through the batched kernel, so the
-                # validation semantics stay identical), pinning errors
-                # only on the queries that fail.
-                for query, handle in entries:
-                    try:
-                        handle._value = float(
-                            self.query_many(method, [query])[0]
-                        )
-                    except Exception as error:
-                        handle._error = error
-                        if first_error is None:
-                            first_error = error
-                continue
-            for (_query, handle), answer in zip(entries, answers):
-                handle._value = float(answer)
-        self.stats.inc("flushes")
-        self.stats.record_batch(len(pending))
-        if first_error is not None:
-            raise first_error
-        return len(pending)
-
 
 # ----------------------------------------------------------------------
 # Long-lived serving: concurrent submit, deadline flush, admission control
@@ -416,12 +297,12 @@ class _QueueEntry:
 class ServingFrontend:
     """Long-lived multi-tenant serving over one or more snapshot suppliers.
 
-    Where :class:`QueryFrontend` micro-batches within a single caller,
-    this is the *service* shape: many tenants call :meth:`submit`
-    concurrently from their own threads, and one background flusher
-    thread answers the accumulated cross-tenant batch with the batched
-    kernels -- so the amortization that PR 5 demonstrated closed-loop
-    becomes reachable under live concurrent traffic.
+    The *service* shape: many tenants call :meth:`submit` concurrently
+    from their own threads, and one background flusher thread answers
+    the accumulated cross-tenant batch with the batched kernels -- so
+    the amortization of a whole battery becomes reachable under live
+    one-query-at-a-time traffic.  With ``start=False`` there is no
+    flusher thread and the caller drains the queue with :meth:`flush`.
 
     * **Cross-supplier fan-out**: with several suppliers the battery
       is compiled once, answered by every supplier's cached snapshot,

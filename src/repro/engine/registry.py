@@ -200,11 +200,6 @@ def _register_defaults() -> None:
     from repro.obs.metrics import Histogram as _ObsHistogram
 
     register_codec("obs-hist", _ObsHistogram)
-    # Flat interval tables (the shared hierarchy/q-digest store) ship
-    # over the same transports, column-exact.
-    from repro.structures.intervals import IntervalTable
-
-    register_codec("interval-table", IntervalTable)
 
 
 _register_defaults()

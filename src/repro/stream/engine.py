@@ -231,7 +231,7 @@ class StreamEngine:
         # against ingestion, so an in-flight background checkpoint can
         # never interleave with `process()`/`ingest()`.  The lock only
         # exists when opted in -- the synchronous path stays
-        # lock-free (the durable-smoke ingest-overhead gate).
+        # lock-free (the bench-smoke checkpoint-overhead gate).
         self._checkpoint_async = bool(checkpoint_async)
         self._ckpt_lock = threading.Lock() if checkpoint_async else None
         self._ckpt_handle: Optional[AsyncCheckpoint] = None

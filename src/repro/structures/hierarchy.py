@@ -133,21 +133,6 @@ class RadixHierarchy:
         for depth in range(self.depth - 1, -1, -1):
             yield depth, int(self.node_of(key, depth))
 
-    def interval_table(self, keys, weights, max_depth=None):
-        """Weighted keys rolled up as a flat interval table.
-
-        One row per induced node per level down to ``max_depth``
-        (default: the leaves), each carrying its subtree's total
-        weight.  Subtree and drilldown lookups on the result are sorted
-        range scans; see
-        :meth:`repro.structures.intervals.IntervalTable.from_hierarchy`.
-        """
-        from repro.structures.intervals import IntervalTable
-
-        return IntervalTable.from_hierarchy(
-            self, keys, weights, max_depth=max_depth
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(branchings={self._branchings})"
 

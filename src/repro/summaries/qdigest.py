@@ -24,7 +24,6 @@ from typing import Iterable, List, Optional, Tuple
 import numpy as np
 
 from repro.core.types import Dataset
-from repro.structures.intervals import IntervalTable, use_flat
 from repro.structures.ranges import Box, MultiRangeQuery
 from repro.summaries.base import Summary, battery_plans
 
@@ -213,29 +212,6 @@ class QDigestSummary(Summary):
             self.__dict__["_sorted_leaves"] = cached
         return cached[1:] if cached[0] else None
 
-    def interval_table(self) -> IntervalTable:
-        """The leaf partition as a flat :class:`IntervalTable`.
-
-        All leaves sit on level 0 with insertion-order pre/post ranks,
-        so the table's canonical order is the stable sort by leaf low
-        endpoint -- exactly the retained :meth:`_sorted_1d` order,
-        which keeps :meth:`IntervalTable.leaf_range_sums` bit-identical
-        to :meth:`_query_boxes_1d`.  Leaves never change after
-        construction (merges build new summaries), so the memo is
-        one-shot.
-        """
-        cached = self.__dict__.get("_flat_table")
-        if cached is None:
-            # Leaf bounds are dyadic integers stored as floats; the
-            # int64 conversion is exact.
-            cached = IntervalTable.from_leaves(
-                self._lows.astype(np.int64),
-                self._highs.astype(np.int64),
-                self._weights,
-            )
-            self.__dict__["_flat_table"] = cached
-        return cached
-
     def _query_boxes_1d(self, bounds: np.ndarray, sorted_1d) -> np.ndarray:
         """Prefix-sum kernel over disjoint sorted 1-D leaves.
 
@@ -308,18 +284,11 @@ class QDigestSummary(Summary):
         if self.size == 0:
             return [0.0] * len(plan)
         bounds = plan.bounds
-        if self._dims == 1 and use_flat(self):
-            table = self.interval_table()
-            if table.leaves_disjoint():
-                return plan.reduce_boxes(
-                    table.leaf_range_sums(bounds, self._partial)
-                ).tolist()
-        else:
-            sorted_1d = self._sorted_1d()
-            if sorted_1d is not None:
-                return plan.reduce_boxes(
-                    self._query_boxes_1d(bounds, sorted_1d)
-                ).tolist()
+        sorted_1d = self._sorted_1d()
+        if sorted_1d is not None:
+            return plan.reduce_boxes(
+                self._query_boxes_1d(bounds, sorted_1d)
+            ).tolist()
         n_boxes = bounds.shape[0]
         n_leaves = self._weights.shape[0]
         per_box = np.empty(n_boxes, dtype=float)

@@ -7,6 +7,11 @@ time into a binary tree over the ``[0, 2^bits)`` domain; a compression
 pass merges every node that, together with its parent and sibling,
 carries less than ``total / k`` weight.  Supports range sums and
 quantile queries with the classic ``log(domain)/k`` error guarantee.
+
+A range-sum battery (:meth:`StreamingQDigest.query_many`) has one
+path: the node tree is flattened into an
+:class:`~repro.structures.intervals.IntervalTable`, cached per
+mutation, and one level-fused scan answers every box at every depth.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
-from repro.structures.intervals import IntervalTable, use_flat
+from repro.structures.intervals import IntervalTable
 from repro.structures.ranges import Box
 from repro.summaries.base import IncrementalSummary, Summary, battery_plans
 
@@ -55,12 +60,11 @@ class StreamingQDigest(Summary, IncrementalSummary):
         self._since_compress = 0
         self._inserts = 0
         # Bumped on every (re)bind or mutation of the node tree; keys
-        # every derived cache of `query_many` (the per-depth tables,
-        # the flat interval table, and any spilled pushdown store).
+        # the interval table `query_many` caches.
         self._mutations = 0
 
     def _mutated(self) -> None:
-        """Record a node-tree mutation, invalidating derived caches.
+        """Record a node-tree mutation, invalidating the cached table.
 
         Must be called at *every* site that rebinds or mutates
         ``_counts`` -- inserts, compressions, merge targets, restored
@@ -284,55 +288,11 @@ class StreamingQDigest(Summary, IncrementalSummary):
         """Box interface used by the shared harness (1-D boxes)."""
         return self.range_sum(box.lows[0], box.highs[0])
 
-    def _interval_table(self):
-        """Per-depth sorted cell tables, cached per mutation.
-
-        Returns a list of ``(shift, cells, counts, prefix)`` tuples,
-        one per materialized depth: ``cells`` are the sorted cell
-        indices (``node - 2**depth``) at that depth, ``counts`` their
-        weights in cell order, and ``prefix`` the exclusive running
-        sum of ``counts`` (so a contiguous cell run sums in O(1)).
-        Recomputed only when the tree changed (any insert or
-        compression bumps ``_mutations``), so repeated query batteries
-        over a frozen snapshot build the tables once.
-        """
-        cached = self.__dict__.get("_interval_arrays")
-        if cached is None or cached[0] != self._mutations:
-            nodes = np.fromiter(self._counts.keys(), dtype=np.int64,
-                                count=len(self._counts))
-            counts = np.fromiter(self._counts.values(), dtype=float,
-                                 count=len(self._counts))
-            # Depth of heap node v is floor(log2 v): an exact integer
-            # binary search on the bit length (no float log).
-            remaining = nodes.copy()
-            depths = np.zeros(nodes.shape[0], dtype=np.int64)
-            for shift in (32, 16, 8, 4, 2, 1):
-                big = remaining >= np.int64(1) << shift
-                depths[big] += shift
-                remaining[big] >>= shift
-            tables = []
-            for depth in np.unique(depths):
-                rows = np.flatnonzero(depths == depth)
-                cells = nodes[rows] - (np.int64(1) << depth)
-                order = np.argsort(cells)
-                cell_counts = counts[rows][order]
-                prefix = np.concatenate(([0.0], np.cumsum(cell_counts)))
-                tables.append(
-                    (self._bits - int(depth), cells[order], cell_counts,
-                     prefix)
-                )
-            cached = (self._mutations, tables)
-            self.__dict__["_interval_arrays"] = cached
-        return cached[1]
-
     def interval_table(self) -> IntervalTable:
         """The node tree as a flat :class:`IntervalTable`.
 
         Cached per mutation (``_mutated`` keys it), so repeated
-        batteries over a frozen snapshot encode once.  The table's
-        canonical per-level order matches the retained per-depth
-        tables exactly, which is what keeps the flat kernel's answers
-        bit-identical to :meth:`_query_many_levels`.
+        batteries over a frozen snapshot encode once.
         """
         cached = self.__dict__.get("_flat_table")
         if cached is None or cached[0] != self._mutations:
@@ -347,44 +307,13 @@ class StreamingQDigest(Summary, IncrementalSummary):
             self.__dict__["_flat_table"] = cached
         return cached[1]
 
-    def _spill_backend(self, table: IntervalTable):
-        """An on-disk pushdown handle when ``table`` busts the budget.
-
-        Returns ``None`` (serve in RAM) unless the table's resident
-        bytes exceed the effective RAM budget -- the per-instance
-        ``pushdown_budget`` attribute if set, else the module default
-        from :func:`repro.backends.pushdown.ram_budget`.  The spilled
-        store is cached per mutation so repeated batteries reuse one
-        SQLite file.
-        """
-        budget = getattr(self, "pushdown_budget", None)
-        if budget is None:
-            from repro.backends.pushdown import ram_budget
-            budget = ram_budget()
-        if budget is None or table.nbytes <= budget:
-            return None
-        cached = self.__dict__.get("_spill_store")
-        if cached is None or cached[0] != self._mutations:
-            from repro.backends.pushdown import PushdownStore
-            store = PushdownStore.temp()
-            store.put("digest", table)
-            cached = (self._mutations, store)
-            self.__dict__["_spill_store"] = cached
-        return cached[1].handle("digest")
-
     def query_many(self, queries: Iterable) -> List[float]:
         """Estimates for a whole battery over the interval table.
 
-        The default path encodes the node tree as a flat
-        :class:`IntervalTable` and runs its level-fused battery scan
-        (:meth:`IntervalTable.scan_bounds`): one rank pass places
-        every box in every depth, and runs and straddling cells fold
-        as ``(depths x B)`` arrays.  When the table exceeds the
-        pushdown RAM budget the same battery is answered out-of-core
-        by the SQLite backend.
-        Setting ``flat_kernel = False`` (or ``REPRO_FLAT_KERNELS=0``)
-        retains the historical per-depth ``searchsorted`` kernel; all
-        three paths are bit-identical.
+        Runs the table's level-fused battery scan
+        (:meth:`IntervalTable.scan_bounds`): one rank pass places every
+        box in every depth, and runs and straddling cells fold as
+        ``(depths x B)`` arrays.
         """
         plan = battery_plans(self).fetch_plan(queries)
         if len(plan) == 0:
@@ -393,63 +322,10 @@ class StreamingQDigest(Summary, IncrementalSummary):
             raise ValueError("streaming q-digest answers 1-D boxes only")
         if not self._counts:
             return [0.0] * len(plan)
-        if use_flat(self):
-            table = self.interval_table()
-            spilled = self._spill_backend(table)
-            lo, hi = plan.bounds[:, 0, 0], plan.bounds[:, 0, 1]
-            if spilled is not None:
-                per_box = spilled.range_sums(lo, hi)
-            else:
-                per_box = table.scan_bounds(lo, hi)
-        else:
-            per_box = self._query_many_levels(plan)
+        per_box = self.interval_table().scan_bounds(
+            plan.bounds[:, 0, 0], plan.bounds[:, 0, 1]
+        )
         return plan.reduce_boxes(per_box).tolist()
-
-    def _query_many_levels(self, plan) -> np.ndarray:
-        """Retained per-depth kernel (pre-interval-table, pinned).
-
-        Per materialized depth a box resolves in O(log nodes): the run
-        of cells fully inside the box is one prefix-sum difference
-        between two ``searchsorted`` bounds, and only the two endpoint
-        cells can straddle, each one more ``searchsorted`` probe
-        contributing its overlapped span fraction.  Kept as the
-        bit-exact reference for the flat and pushdown kernels.
-        """
-        bounds = plan.bounds
-        lo = bounds[:, 0, 0]
-        hi = bounds[:, 0, 1]
-        per_box = np.zeros(bounds.shape[0], dtype=float)
-        for shift, cells, cell_counts, prefix in self._interval_table():
-            span = np.int64(1) << np.int64(shift)
-            # Cells fully inside [lo, hi]: the contiguous run [a, b].
-            a = (lo + span - 1) >> shift
-            b = ((hi + 1) >> shift) - 1
-            lo_idx = np.searchsorted(cells, a, side="left")
-            hi_idx = np.searchsorted(cells, b, side="right")
-            per_box += prefix[np.maximum(hi_idx, lo_idx)] - prefix[lo_idx]
-            # Endpoint cells outside [a, b] straddle a box edge and
-            # contribute fractionally; the right endpoint is skipped
-            # when it shares the left one's cell.
-            c_lo = lo >> shift
-            c_hi = hi >> shift
-            for cand, partial in (
-                (c_lo, (c_lo < a) | (c_lo > b)),
-                (c_hi, ((c_hi < a) | (c_hi > b)) & (c_hi != c_lo)),
-            ):
-                pos = np.searchsorted(cells, cand)
-                pos_c = np.minimum(pos, cells.size - 1)
-                idx = np.flatnonzero((cells[pos_c] == cand) & partial)
-                if idx.size == 0:
-                    continue
-                n_lo = cand[idx] * span
-                n_hi = n_lo + span - 1
-                overlap = (
-                    np.minimum(hi[idx], n_hi) - np.maximum(lo[idx], n_lo) + 1
-                )
-                per_box[idx] += (
-                    cell_counts[pos_c[idx]] * overlap / float(span)
-                )
-        return per_box
 
     def quantile(self, phi: float) -> int:
         """Key at (approximately) the phi-quantile of the weight."""

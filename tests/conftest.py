@@ -1,4 +1,16 @@
-"""Shared fixtures for the test suite."""
+"""Shared fixtures for the test suite.
+
+Every test runs under a leak guard (:func:`_leak_guard`): a test that
+leaves behind a file descriptor, a thread, a ``/dev/shm`` segment or a
+child process fails, naming what leaked.
+"""
+
+import gc
+import multiprocessing
+import os
+import threading
+import time
+from multiprocessing import resource_tracker
 
 import numpy as np
 import pytest
@@ -8,6 +20,95 @@ from repro.datagen.network import NetworkConfig, generate_network_flows
 from repro.datagen.tickets import TicketConfig, generate_tickets
 from repro.structures.hierarchy import BitHierarchy, ExplicitHierarchy
 from repro.structures.product import ProductDomain, line_domain
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "slow: a test that takes several seconds"
+    )
+
+
+#: How long a test's leftovers may take to go away after it returns.
+LEAK_GRACE_S = 1.0
+
+
+def _listing(path):
+    """Entries of ``path``, or None where the platform has no such path."""
+    try:
+        return set(os.listdir(path))
+    except FileNotFoundError:
+        return None
+
+
+def _open_fds():
+    """Open descriptors mapped to their targets (None without /proc)."""
+    fds = _listing("/proc/self/fd")
+    if fds is None:
+        return None
+    targets = {}
+    for fd in fds:
+        try:
+            targets[fd] = os.readlink(f"/proc/self/fd/{fd}")
+        except OSError:
+            pass  # the descriptor the listing itself used, closed by now
+    return targets
+
+
+def _resources():
+    """What a test may leak, keyed by kind (None: not checkable here)."""
+    return {
+        "file descriptors": _open_fds(),
+        "threads": {
+            (thread.ident, thread.name) for thread in threading.enumerate()
+        },
+        "/dev/shm entries": _listing("/dev/shm"),
+        "child processes": {
+            child.pid for child in multiprocessing.active_children()
+        },
+    }
+
+
+def _leaked(before):
+    """Resources present now that were not in ``before``, by kind."""
+    after = _resources()
+    leaked = {}
+    for kind, was in before.items():
+        if was is None:
+            continue
+        new = sorted(set(after[kind]) - set(was), key=str)
+        if new and isinstance(was, dict):
+            new = [f"{key} -> {after[kind][key]}" for key in new]
+        if new:
+            leaked[kind] = new
+    return leaked
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _resource_tracker():
+    """Start multiprocessing's resource tracker up front: its pipe lives
+    as long as the process, so the first test to start it would
+    otherwise be blamed for a leaked descriptor."""
+    resource_tracker.ensure_running()
+
+
+@pytest.fixture(autouse=True)
+def _leak_guard():
+    """Fail a test that leaks descriptors, threads, shm or children.
+
+    Leftovers get up to :data:`LEAK_GRACE_S` -- with garbage collection
+    -- to go away, since a closing thread or an unreferenced file may
+    outlive the test body by a moment.
+    """
+    before = _resources()
+    yield
+    leaked = _leaked(before)
+    deadline = time.monotonic() + LEAK_GRACE_S
+    while leaked and time.monotonic() < deadline:
+        gc.collect()
+        time.sleep(0.01)
+        leaked = _leaked(before)
+    if leaked:
+        pytest.fail(f"test leaked resources: {leaked}", pytrace=False)
 
 
 @pytest.fixture

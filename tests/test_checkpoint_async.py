@@ -80,16 +80,16 @@ def test_inflight_checkpoint_never_interleaves_with_ingest(tmp_path):
     """The satellite's guarantee: while the async checkpoint holds the
     critical section, `process()` blocks -- the event trace shows no
     batch log between state-begin and state-end, over many rounds."""
-    store = _SlowStore(LogCheckpointStore(str(tmp_path / "ck")),
-                       dwell=0.05)
-    engine = _engine(tmp_path, store, checkpoint_async=True)
-    rng = np.random.default_rng(2)
-    _feed(engine, rng)
-    for _round in range(5):
-        handle = engine.checkpoint()
-        # Ingest immediately from this thread: must serialize after.
-        _feed(engine, rng, batches=2)
-        handle.result(timeout=10)
+    with LogCheckpointStore(str(tmp_path / "ck")) as inner:
+        store = _SlowStore(inner, dwell=0.05)
+        engine = _engine(tmp_path, store, checkpoint_async=True)
+        rng = np.random.default_rng(2)
+        _feed(engine, rng)
+        for _round in range(5):
+            handle = engine.checkpoint()
+            # Ingest immediately from this thread: must serialize after.
+            _feed(engine, rng, batches=2)
+            handle.result(timeout=10)
     events = store.events
     open_ckpt = False
     for name, _tid in events:
@@ -156,11 +156,12 @@ def test_checkpoint_error_surfaces_in_result(tmp_path):
                 raise OSError("disk full")
             return super().append(stream_id, kind, payload, **kwargs)
 
-    store = _FailingStore(LogCheckpointStore(str(tmp_path / "ck")))
-    engine = _engine(tmp_path, store, checkpoint_async=True)
-    _feed(engine, np.random.default_rng(6))
-    handle = engine.checkpoint()
-    with pytest.raises(OSError, match="disk full"):
-        handle.result(timeout=10)
-    # The engine stays usable after a failed checkpoint.
-    _feed(engine, np.random.default_rng(7), batches=1)
+    with LogCheckpointStore(str(tmp_path / "ck")) as inner:
+        store = _FailingStore(inner)
+        engine = _engine(tmp_path, store, checkpoint_async=True)
+        _feed(engine, np.random.default_rng(6))
+        handle = engine.checkpoint()
+        with pytest.raises(OSError, match="disk full"):
+            handle.result(timeout=10)
+        # The engine stays usable after a failed checkpoint.
+        _feed(engine, np.random.default_rng(7), batches=1)

@@ -97,3 +97,20 @@ class TestExamples:
             timeout=900,
         )
         assert result.returncode == 0, result.stderr
+
+    @pytest.mark.slow
+    def test_distributed_pipeline_runs(self):
+        """The one example that builds a ``QueryFrontend`` and reads
+        ``ServingFrontend.stats()``: every layer's check prints True."""
+        result = subprocess.run(
+            [sys.executable, str(EXAMPLES / "distributed_pipeline.py")],
+            capture_output=True,
+            text=True,
+            timeout=900,
+        )
+        assert result.returncode == 0, result.stderr
+        out = result.stdout
+        assert "query(original) == query(decoded): True" in out
+        assert "identical answers on a 100-query battery: True" in out
+        assert "500 queries from 4 tenants" in out
+        assert "batch-size histogram" in out

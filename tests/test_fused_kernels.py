@@ -5,8 +5,8 @@ The contract is *bit*-identity with the per-level kernels they replace:
 
 * golden answers (``golden_fused_kernels.json``, float64 as hex) were
   computed by the per-level kernels on two fixed seeds and are
-  asserted bitwise -- for the qdigest-stream flat, retained and
-  pushdown paths and for the 1-D sketch;
+  asserted bitwise -- for the qdigest-stream scan and its per-depth
+  oracle (``tests/oracles.py``) and for the 1-D sketch;
 * generated cases (``hypothesis``) over random small digests and
   sketches up to 62-bit domains, with full-domain boxes, single keys,
   empty and one-box batteries, and empty digests;
@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import qdigest_stream_query_many, same_bits
 from repro.structures.dyadic import (
     dyadic_decompose_interval,
     dyadic_decompose_intervals,
@@ -66,15 +67,8 @@ def test_golden_answers_bitwise(seed):
     golden = json.loads(GOLDEN.read_text())[str(seed)]
     digest, sketch, boxes = golden_case(seed)
     assert _bits_of(digest.query_many(boxes)) == golden["qdigest-stream"]
-    digest.flat_kernel = False
-    assert _bits_of(digest.query_many(boxes)) == golden["qdigest-stream"]
-    digest.flat_kernel = True
-    digest.pushdown_budget = 0
-    try:
-        assert _bits_of(digest.query_many(boxes)) == golden["qdigest-stream"]
-    finally:
-        digest.__dict__.pop("_spill_store")[1].close()
-        del digest.pushdown_budget
+    oracle = qdigest_stream_query_many(digest.to_state(), boxes)
+    assert _bits_of(oracle) == golden["qdigest-stream"]
     assert _bits_of(sketch.query_many(boxes)) == golden["sketch"]
 
 
@@ -120,10 +114,9 @@ def test_qdigest_fused_scan_equals_level_loop(case, k, cadence):
     digest = StreamingQDigest(bits, k=k, compress_every=cadence)
     digest.update(keys, weights)
     fused = np.asarray(digest.query_many(boxes))
-    digest.flat_kernel = False
-    levels = np.asarray(digest.query_many(boxes))
     assert fused.shape == (len(boxes),)
-    assert (fused.view(np.int64) == levels.view(np.int64)).all()
+    assert same_bits(fused,
+                     qdigest_stream_query_many(digest.to_state(), boxes))
 
 
 @CASES
@@ -149,15 +142,12 @@ def test_qdigest_fused_scan_single_boxes_many_levels():
     digest.update(rng.integers(0, 1 << 48, 3000),
                   1.0 + rng.pareto(1.1, 3000))
     assert len(digest.interval_table().level_values) >= 4
+    state = digest.to_state()
     for _ in range(50):
         lo = int(rng.integers(0, 1 << 47))
         boxes = [Box((lo,), (lo + int(rng.integers(0, 1 << 47)),))]
-        digest.flat_kernel = True
-        fused = digest.query_many(boxes)
-        digest.flat_kernel = False
-        assert np.float64(fused[0]).view(np.int64) == np.float64(
-            digest.query_many(boxes)[0]
-        ).view(np.int64)
+        assert same_bits(digest.query_many(boxes),
+                         qdigest_stream_query_many(state, boxes))
 
 
 @pytest.mark.parametrize("bits", (20, 62))
@@ -179,20 +169,8 @@ def test_qdigest_fused_scan_bulk_batteries(bits):
     assert lows.size * len(table.level_values) > 2 * len(table)
     boxes = [Box((lo,), (hi,)) for lo, hi in zip(lows.tolist(),
                                                  highs.tolist())]
-    fused = np.asarray(digest.query_many(boxes))
-    digest.flat_kernel = False
-    levels = np.asarray(digest.query_many(boxes))
-    assert (fused.view(np.int64) == levels.view(np.int64)).all()
-    # Levels named out of order or twice cannot share one sort of the
-    # probes.
-    backwards = table.level_values[::-1].tolist()
-    np.testing.assert_allclose(table.scan_bounds(lows, highs, backwards),
-                               fused, rtol=1e-12)
-    deepest = [int(table.level_values[-1])]
-    np.testing.assert_allclose(
-        table.scan_bounds(lows, highs, deepest * 2),
-        2 * table.scan_bounds(lows, highs, deepest), rtol=1e-12,
-    )
+    assert same_bits(digest.query_many(boxes),
+                     qdigest_stream_query_many(digest.to_state(), boxes))
 
 
 def _decompose_by_levels(lows, highs, bits):

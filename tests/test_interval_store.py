@@ -1,25 +1,25 @@
-"""Flat interval-table store: parity, invariants, pushdown, codec.
+"""Flat interval table: parity with the per-depth oracle, cache audit.
 
 The contract under test is *bit*-identity, not approximate closeness:
-the flat :class:`~repro.structures.intervals.IntervalTable` kernels,
-the SQLite pushdown backend, and the retained pointer-path kernels
-must produce the same IEEE doubles for every battery.  The suite
-sweeps 30 seeds across the streaming q-digest (fresh, merged, wire
-round-tripped, post-restore engines), the batch q-digest (1-D all
-three partial modes, 2-D and merged-overlapping dense paths), radix
-hierarchies, kd trees, plus the pre/post-order invariants, the
-budget-triggered spill, the wire codec, and the mutation-counter
-regression from this PR's cache audit.
+the streaming q-digest's interval table scan must produce the same
+IEEE doubles as the per-depth kernel it replaced, kept as the oracle
+in ``tests/oracles.py``.  The suite sweeps 30 seeds across fresh,
+merged, wire round-tripped and post-restore digests, pins the batch
+q-digest's 1-D sorted-leaf path to the flat leaf-table oracle and its
+dense paths to its scalar ``query``, and covers the mutation-counter
+regression of the table cache.
 """
 
 import numpy as np
 import pytest
 
-from repro.backends.pushdown import PushdownStore
+from oracles import (
+    qdigest_1d_leaf_query_many,
+    qdigest_stream_query_many,
+    same_bits,
+)
 from repro.core.types import Dataset
 from repro.distributed import codec
-from repro.structures.hierarchy import BitHierarchy, ExplicitHierarchy
-from repro.structures.intervals import IntervalTable
 from repro.structures.order import OrderedDomain
 from repro.structures.product import ProductDomain
 from repro.structures.ranges import Box
@@ -49,16 +49,12 @@ def _stream_digest(rng, bits):
     return digest
 
 
-def _answers(summary, boxes, *, flat):
-    summary.flat_kernel = flat
-    try:
-        return np.asarray(summary.query_many(boxes))
-    finally:
-        summary.flat_kernel = True
+def _oracle(digest, boxes):
+    return qdigest_stream_query_many(digest.to_state(), boxes)
 
 
 # ----------------------------------------------------------------------
-# Streaming q-digest: flat kernel vs retained per-depth kernel
+# Streaming q-digest: interval table scan vs the per-depth oracle
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("seed", SEEDS)
 def test_stream_flat_matches_retained(seed):
@@ -66,11 +62,10 @@ def test_stream_flat_matches_retained(seed):
     bits = int(rng.integers(4, 18))
     digest = _stream_digest(rng, bits)
     boxes = _battery_1d(rng, 1 << bits, int(rng.integers(1, 500)))
-    flat = _answers(digest, boxes, flat=True)
-    retained = _answers(digest, boxes, flat=False)
-    repeat = _answers(digest, boxes, flat=True)  # compiled-scan replay
-    assert (flat == retained).all()
-    assert (repeat == retained).all()
+    retained = _oracle(digest, boxes)
+    assert same_bits(digest.query_many(boxes), retained)
+    # A second battery over the cached table answers the same.
+    assert same_bits(digest.query_many(boxes), retained)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -83,118 +78,31 @@ def test_stream_merged_and_restored_parity(seed):
     wired = codec.from_bytes(codec.to_bytes(merged))
     boxes = _battery_1d(rng, 1 << bits, int(rng.integers(1, 300)))
     for digest in (merged, wired):
-        flat = _answers(digest, boxes, flat=True)
-        retained = _answers(digest, boxes, flat=False)
-        assert (flat == retained).all()
-    # The wire round trip preserves the node tree, so the two flat
-    # kernels agree bit-for-bit as well.
-    assert (
-        _answers(merged, boxes, flat=True)
-        == _answers(wired, boxes, flat=True)
-    ).all()
+        assert same_bits(digest.query_many(boxes), _oracle(digest, boxes))
+    # The wire round trip preserves the node tree, so the two digests
+    # agree bit-for-bit as well.
+    assert same_bits(merged.query_many(boxes), wired.query_many(boxes))
 
 
 def test_stream_exhaustive_small_domain():
-    """Every (lo, hi) pair of a 4-bit domain, all three paths."""
+    """Every (lo, hi) pair of a 4-bit domain: oracle and scalar path."""
     rng = np.random.default_rng(99)
     digest = StreamingQDigest(4, k=3, compress_every=7)
     digest.update(rng.integers(0, 16, 500), rng.random(500) + 0.1)
     boxes = [
         Box((lo,), (hi,)) for lo in range(16) for hi in range(lo, 16)
     ]
-    retained = _answers(digest, boxes, flat=False)
-    assert (_answers(digest, boxes, flat=True) == retained).all()
-    digest.pushdown_budget = 0
-    try:
-        assert (_answers(digest, boxes, flat=True) == retained).all()
-    finally:
-        del digest.pushdown_budget
+    got = digest.query_many(boxes)
+    assert same_bits(got, _oracle(digest, boxes))
     scalar = np.asarray([digest.query(box) for box in boxes])
     np.testing.assert_allclose(
-        _answers(digest, boxes, flat=True), scalar,
-        rtol=1e-9, atol=1e-9 * digest.total,
+        got, scalar, rtol=1e-9, atol=1e-9 * digest.total,
     )
 
 
 # ----------------------------------------------------------------------
-# Pushdown backend: out-of-core answers bit-identical, spill on budget
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("seed", range(10))
-def test_pushdown_matches_in_memory(seed, tmp_path):
-    rng = np.random.default_rng(2000 + seed)
-    bits = int(rng.integers(4, 16))
-    digest = _stream_digest(rng, bits)
-    table = digest.interval_table()
-    store = PushdownStore(str(tmp_path / "push.sqlite"))
-    store.put("t", table)
-    boxes = _battery_1d(rng, 1 << bits, int(rng.integers(1, 300)))
-    lo = np.asarray([box.lows[0] for box in boxes], dtype=np.int64)
-    hi = np.asarray([box.highs[0] for box in boxes], dtype=np.int64)
-    in_memory = table.scan_bounds(lo, hi)
-    pushed = store.range_sums("t", lo, hi)
-    assert (pushed == in_memory).all()
-    # Round-tripping the stored table is column-exact.
-    assert store.get("t").equals(table)
-    store.close()
-
-
-def test_budget_cap_forces_spill_bit_identical():
-    """The ISSUE's acceptance demo: cap the RAM budget below the
-    summary's resident size and the battery must be answered from the
-    on-disk store, bit-identical to the in-memory kernels."""
-    rng = np.random.default_rng(7)
-    digest = StreamingQDigest(14, k=80, compress_every=64)
-    digest.update(rng.integers(0, 1 << 14, 20_000), np.ones(20_000))
-    boxes = _battery_1d(rng, 1 << 14, 400)
-    in_memory = _answers(digest, boxes, flat=True)
-    retained = _answers(digest, boxes, flat=False)
-    table = digest.interval_table()
-    digest.pushdown_budget = table.nbytes // 2  # below the summary size
-    try:
-        spilled = _answers(digest, boxes, flat=True)
-        # The spill actually engaged (the backend memo exists).
-        assert "_spill_store" in digest.__dict__
-    finally:
-        del digest.pushdown_budget
-    assert (spilled == in_memory).all()
-    assert (spilled == retained).all()
-
-
-def test_pushdown_store_management(tmp_path):
-    rng = np.random.default_rng(5)
-    t1 = _stream_digest(rng, 8).interval_table()
-    t2 = _stream_digest(rng, 8).interval_table()
-    store = PushdownStore(str(tmp_path / "m.sqlite"))
-    store.put("a", t1)
-    store.put("b", t2)
-    assert store.table_ids() == ["a", "b"]
-    store.put("a", t2)  # replace
-    assert store.get("a").equals(t2)
-    store.delete("a")
-    assert store.table_ids() == ["b"]
-    with pytest.raises(KeyError):
-        store.get("a")
-    handle = store.handle("b")
-    lo = np.asarray([0, 3], dtype=np.int64)
-    hi = np.asarray([255, 200], dtype=np.int64)
-    assert (handle.range_sums(lo, hi) == t2.scan_bounds(lo, hi)).all()
-    store.close()
-
-
-def test_pushdown_rejects_multidim(tmp_path):
-    table = IntervalTable.from_leaves(
-        np.asarray([[0, 0], [2, 2]]),
-        np.asarray([[1, 1], [3, 3]]),
-        np.asarray([1.0, 2.0]),
-    )
-    store = PushdownStore(str(tmp_path / "r.sqlite"))
-    with pytest.raises(ValueError):
-        store.put("t", table)
-    store.close()
-
-
-# ----------------------------------------------------------------------
-# Batch q-digest: flat 1-D leaf path vs retained; dense paths unchanged
+# Batch q-digest: 1-D leaf path vs the flat leaf-table oracle; dense
+# paths equal the scalar query
 # ----------------------------------------------------------------------
 def _dataset_1d(rng, size, n):
     coords = rng.integers(0, size, size=(n, 1))
@@ -210,26 +118,24 @@ def test_qdigest_1d_flat_matches_retained(seed):
     data = _dataset_1d(rng, size, int(rng.integers(100, 3000)))
     mode = ("half", "uniform", "lower")[seed % 3]
     digest = QDigestSummary(data, int(rng.integers(8, 200)), partial=mode)
+    assert digest._sorted_1d() is not None  # the sorted-leaf kernel
     boxes = _battery_1d(rng, size, int(rng.integers(1, 300)))
-    flat = _answers(digest, boxes, flat=True)
-    retained = _answers(digest, boxes, flat=False)
-    assert (flat == retained).all()
+    flat = qdigest_1d_leaf_query_many(digest.to_state(), boxes)
+    assert same_bits(digest.query_many(boxes), flat)
 
 
 def test_qdigest_merged_overlapping_uses_dense_path():
-    """Merged shards may overlap spatially; both flag settings must
-    agree (they both fall through to the dense kernel)."""
+    """Merged shards may overlap spatially, which sends a 1-D battery
+    to the dense kernel: bit-identical to the scalar query."""
     rng = np.random.default_rng(11)
     size = 1 << 10
     a = QDigestSummary(_dataset_1d(rng, size, 800), 50)
     b = QDigestSummary(_dataset_1d(rng, size, 800), 50)
     merged = a.merge(b)
+    assert merged._sorted_1d() is None
     boxes = _battery_1d(rng, size, 200)
-    flat = _answers(merged, boxes, flat=True)
-    retained = _answers(merged, boxes, flat=False)
-    assert (flat == retained).all()
     scalar = np.asarray([merged.query(box) for box in boxes])
-    assert (flat == scalar).all()
+    assert same_bits(merged.query_many(boxes), scalar)
 
 
 def test_qdigest_2d_unaffected():
@@ -245,163 +151,41 @@ def test_qdigest_2d_unaffected():
         hi = np.minimum(lo + rng.integers(0, 16, 2), size - 1)
         boxes.append(Box(tuple(int(v) for v in lo),
                          tuple(int(v) for v in hi)))
-    flat = _answers(digest, boxes, flat=True)
-    retained = _answers(digest, boxes, flat=False)
-    assert (flat == retained).all()
+    scalar = np.asarray([digest.query(box) for box in boxes])
+    assert same_bits(digest.query_many(boxes), scalar)
 
 
 # ----------------------------------------------------------------------
-# Hierarchy and kd encoders: exactness + pre/post invariants
+# Engine restore
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("seed", range(10))
-def test_hierarchy_table_leaf_level_exact(seed):
-    rng = np.random.default_rng(4000 + seed)
-    hierarchy = (
-        BitHierarchy(int(rng.integers(4, 12))) if seed % 2
-        else ExplicitHierarchy.with_approx_leaves(
-            int(rng.integers(64, 4096)))
-    )
-    n = int(rng.integers(50, 2000))
-    keys = rng.integers(0, hierarchy.num_leaves, n)
-    weights = rng.random(n) + 0.01
-    table = hierarchy.interval_table(keys, weights)
-    assert table.kind == "aggregate"
-    # Leaf-level range scans are exact sums over the raw keys.
-    boxes = _battery_1d(rng, hierarchy.num_leaves, 100)
-    lo = np.asarray([box.lows[0] for box in boxes], dtype=np.int64)
-    hi = np.asarray([box.highs[0] for box in boxes], dtype=np.int64)
-    got = table.scan_bounds(lo, hi)
-    expect = np.asarray([
-        weights[(keys >= a) & (keys <= b)].sum()
-        for a, b in zip(lo, hi)
-    ])
-    np.testing.assert_allclose(got, expect, rtol=1e-12, atol=1e-9)
-    # Every node's stored mass equals its subtree's leaf-row mass and
-    # the exact weight of keys under it (the aggregate invariant).
-    leaf_depth = int(table.level_values[-1])
-    for row in rng.integers(0, len(table), 25):
-        mask = table.descendant_mask(int(row))
-        leaf_rows = mask & (table.level == leaf_depth)
-        np.testing.assert_allclose(
-            table.mass[int(row)],
-            table.mass[leaf_rows].sum(),
-            rtol=1e-12, atol=1e-9,
-        )
-
-
-def test_hierarchy_table_ancestor_rows_match_pointer_walk():
-    hierarchy = BitHierarchy(8)
-    rng = np.random.default_rng(21)
-    keys = rng.integers(0, 256, 500)
-    table = hierarchy.interval_table(keys, np.ones(500))
-    for key in rng.integers(0, 256, 20):
-        rows = table.ancestor_rows((int(key),))
-        got = {
-            (int(table.level[r]), int(table.lo[r, 0]))
-            for r in rows
-        }
-        expect = set()
-        for depth in range(hierarchy.depth + 1):
-            node = int(hierarchy.node_of(int(key), depth))
-            lo, _hi = hierarchy.node_interval(depth, node)
-            if ((keys // hierarchy.span(depth)) == node).any():
-                expect.add((depth, lo))
-        assert got == expect
-
-
-def test_kd_encoder_pre_post_invariants():
-    from repro.aware.kd import build_kd_hierarchy
-
-    rng = np.random.default_rng(17)
-    size = 64
-    coords = rng.integers(0, size, size=(400, 2))
-    domain = ProductDomain([OrderedDomain(size), OrderedDomain(size)])
-    root = build_kd_hierarchy(coords, 1.0 + rng.random(400),
-                              domain=domain, leaf_mass=8.0)
-    table = IntervalTable.from_kd(root)
-
-    def walk(node, depth, out):
-        out.append((depth, tuple(node.box.lows), tuple(node.box.highs),
-                    float(node.mass)))
-        for child in (node.left, node.right):
-            if child is not None:
-                walk(child, depth + 1, out)
-
-    nodes = []
-    walk(root, 0, nodes)
-    assert len(table) == len(nodes)
-    # pre/post ranks are permutations; descendant windows match the
-    # recorded pointer-tree subtrees exactly.
-    assert sorted(table.pre.tolist()) == list(range(len(table)))
-    assert sorted(table.post.tolist()) == list(range(len(table)))
-    root_row = int(np.flatnonzero(table.level == 0)[0])
-    assert table.descendant_mask(root_row).all()
-    for row in rng.integers(0, len(table), 30):
-        mask = table.descendant_mask(int(row))
-        # Containment mirrors the box nesting of a kd subtree.
-        inside = (
-            (table.lo >= table.lo[int(row)]).all(axis=1)
-            & (table.hi <= table.hi[int(row)]).all(axis=1)
-        )
-        assert (mask <= inside).all()
-        np.testing.assert_allclose(
-            table.subtree_mass(int(row)), table.mass[int(row)],
-            rtol=1e-12,
-        )
-
-
-# ----------------------------------------------------------------------
-# Wire codec + engine restore
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("seed", range(5))
-def test_interval_table_codec_round_trip(seed):
-    rng = np.random.default_rng(5000 + seed)
-    table = _stream_digest(rng, int(rng.integers(4, 14))).interval_table()
-    assert codec.from_bytes(codec.to_bytes(table)).equals(table)
-
-
-def test_kd_table_codec_round_trip_2d():
-    from repro.aware.kd import build_kd_hierarchy
-
-    rng = np.random.default_rng(23)
-    coords = rng.integers(0, 32, size=(200, 2))
-    domain = ProductDomain([OrderedDomain(32), OrderedDomain(32)])
-    root = build_kd_hierarchy(coords, np.ones(200), domain=domain,
-                              leaf_mass=8.0)
-    table = IntervalTable.from_kd(root)
-    assert codec.from_bytes(codec.to_bytes(table)).equals(table)
-
-
 @pytest.mark.parametrize("seed", range(5))
 def test_restored_engine_flat_parity(seed, tmp_path):
-    """A crash-restored engine's digests serve flat answers identical
-    to the retained kernels (and to the original engine)."""
+    """A crash-restored engine's digests answer bit-identically to the
+    original engine and to the per-depth oracle."""
     from repro.durable import LogCheckpointStore
     from repro.stream.engine import StreamEngine
 
     rng = np.random.default_rng(6000 + seed)
     size = 1 << 10
     domain = ProductDomain([OrderedDomain(size)])
-    store = LogCheckpointStore(str(tmp_path / "ckpt"))
-    engine = StreamEngine(domain, "qdigest-stream", 150,
-                          store=store, stream_id="s")
-    for _ in range(8):
-        n = int(rng.integers(20, 200))
-        engine.process((rng.integers(0, size, n), rng.random(n)))
-    engine.checkpoint()
-    restored = StreamEngine.restore(store, "s")
-    boxes = _battery_1d(rng, size, 150)
-    orig = engine.query_many_now(boxes)["qdigest-stream"]
-    back = restored.query_many_now(boxes)["qdigest-stream"]
-    assert orig == back
-    digest = restored.snapshot("qdigest-stream")
-    flat = _answers(digest, boxes, flat=True)
-    retained = _answers(digest, boxes, flat=False)
-    assert (flat == retained).all()
+    with LogCheckpointStore(str(tmp_path / "ckpt")) as store:
+        engine = StreamEngine(domain, "qdigest-stream", 150,
+                              store=store, stream_id="s")
+        for _ in range(8):
+            n = int(rng.integers(20, 200))
+            engine.process((rng.integers(0, size, n), rng.random(n)))
+        engine.checkpoint()
+        restored = StreamEngine.restore(store, "s")
+        boxes = _battery_1d(rng, size, 150)
+        orig = engine.query_many_now(boxes)["qdigest-stream"]
+        back = restored.query_many_now(boxes)["qdigest-stream"]
+        assert orig == back
+        digest = restored.snapshot("qdigest-stream")
+        assert same_bits(digest.query_many(boxes), _oracle(digest, boxes))
 
 
 # ----------------------------------------------------------------------
-# Mutation-counter regression (the PR's cache audit)
+# Mutation-counter regression (the table cache audit)
 # ----------------------------------------------------------------------
 def test_cache_invalidation_on_every_mutation_path():
     """merge / from_state / snapshot / update all produce digests whose
@@ -419,9 +203,7 @@ def test_cache_invalidation_on_every_mutation_path():
     a.update(rng.integers(0, 256, 300), np.ones(300))
     after_update = a.query_many(box)[0]
     assert after_update != before
-    a.flat_kernel = False
-    assert a.query_many(box)[0] == after_update
-    a.flat_kernel = True
+    assert same_bits([after_update], _oracle(a, box))
 
     # merge() result is a fresh digest whose table matches its counts.
     b = StreamingQDigest(bits, k=8, compress_every=10_000)
@@ -430,9 +212,7 @@ def test_cache_invalidation_on_every_mutation_path():
     merged = a.merge(b)
     assert merged._mutations > 0
     got = merged.query_many(box)[0]
-    merged.flat_kernel = False
-    assert merged.query_many(box)[0] == got
-    merged.flat_kernel = True
+    assert same_bits([got], _oracle(merged, box))
     scalar = merged.query(box[0])
     np.testing.assert_allclose(got, scalar, rtol=1e-9,
                                atol=1e-9 * merged.total)
@@ -444,32 +224,22 @@ def test_cache_invalidation_on_every_mutation_path():
 
     # snapshot() compresses a copy; its cache keys off its own counts.
     snap = a.snapshot()
-    snap_ans = snap.query_many(box)[0]
-    snap.flat_kernel = False
-    assert snap.query_many(box)[0] == snap_ans
+    assert same_bits(snap.query_many(box), _oracle(snap, box))
 
 
 def test_direct_counts_mutation_requires_mutated():
     """The invariant the audit pins: rebinding ``_counts`` without
     ``_mutated()`` is what the bump sites prevent.  ``_mutated()``
-    must invalidate both the retained per-depth cache and the flat
-    table memo."""
+    must invalidate the table memo."""
     rng = np.random.default_rng(37)
     digest = StreamingQDigest(8, k=8, compress_every=10_000)
     digest.update(rng.integers(0, 256, 200), np.ones(200))
     box = [Box((0,), (255,))]
     digest.query_many(box)
-    digest.flat_kernel = False
-    digest.query_many(box)
-    digest.flat_kernel = True
     assert "_flat_table" in digest.__dict__
-    assert "_interval_arrays" in digest.__dict__
-    marker_flat = digest.__dict__["_flat_table"][1]
-    marker_depth = digest.__dict__["_interval_arrays"][1]
+    marker = digest.__dict__["_flat_table"][1]
+    digest.query_many(box)
+    assert digest.__dict__["_flat_table"][1] is marker
     digest._mutated()
     digest.query_many(box)
-    assert digest.__dict__["_flat_table"][1] is not marker_flat
-    digest.flat_kernel = False
-    digest.query_many(box)
-    digest.flat_kernel = True
-    assert digest.__dict__["_interval_arrays"][1] is not marker_depth
+    assert digest.__dict__["_flat_table"][1] is not marker

@@ -6,15 +6,19 @@ two paths share float semantics -- the dense q-digest kernel -- and
 within 1e-9 relative tolerance otherwise, the documented contract for
 kernels that only reorder the floating-point summation).  Also covers
 the query-plan compiler (flat + padded layouts, per-object memos),
-the batched dyadic decomposition, frontend micro-batching parity and
-the stream engine's shared-plan battery path.
+the batched dyadic decomposition, micro-batching parity through a
+``ServingFrontend`` flushed by hand and the stream engine's
+shared-plan battery path.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import same_bits
 from repro.core.types import Dataset
-from repro.distributed.frontend import QueryFrontend
+from repro.distributed.frontend import QueryFrontend, ServingFrontend
 from repro.engine.registry import build
 from repro.stream.engine import StreamEngine
 from repro.structures.dyadic import (
@@ -147,7 +151,7 @@ class TestPerMethodEquivalence:
             assert summary._xy_group_lookup() is summary._xy_group_lookup()
 
     def test_qdigest_stream_interval_table_kernel(self):
-        """The sorted interval-table kernel matches scalar range sums.
+        """The sorted interval table kernel matches scalar range sums.
 
         Pinned across 30 seeds with varying compression cadences (so
         the per-depth node layout differs) plus span-aligned,
@@ -180,10 +184,10 @@ class TestPerMethodEquivalence:
                 err_msg=f"qdigest-stream seed {seed}",
             )
             # Mutating the tree invalidates the cached table.
-            table = digest._interval_table()
-            assert digest._interval_table() is table
+            table = digest.interval_table()
+            assert digest.interval_table() is table
             digest.insert(0, 1.0)
-            assert digest._interval_table() is not table
+            assert digest.interval_table() is not table
 
     def test_mismatched_dims_raise(self):
         rng = np.random.default_rng(0)
@@ -280,6 +284,8 @@ class _StaticSupplier:
 
 
 class TestFrontendMicroBatching:
+    """``ServingFrontend(start=False)``: submit, then flush by hand."""
+
     @pytest.fixture
     def served(self):
         rng = np.random.default_rng(9)
@@ -292,106 +298,141 @@ class TestFrontendMicroBatching:
         queries = _battery(rng, 1, size, n_queries=40)
         return summaries, queries, float(data.weights.sum())
 
+    @staticmethod
+    def _service(summaries, batch_size):
+        return ServingFrontend(
+            _StaticSupplier(summaries), batch_size=batch_size,
+            max_pending=1000, tenant_share=1.0, start=False,
+        )
+
     def test_parity_with_one_at_a_time(self, served):
         summaries, queries, scale = served
         one = QueryFrontend(_StaticSupplier(summaries))
-        micro = QueryFrontend(_StaticSupplier(summaries), batch_size=16)
-        for method in summaries:
-            direct = [one.query(method, query) for query in queries]
-            handles = [micro.submit(method, query) for query in queries]
-            micro.flush()
-            got = [handle.result() for handle in handles]
-            np.testing.assert_allclose(
-                got, direct, rtol=1e-9, atol=1e-9 * scale, err_msg=method
-            )
-
-    def test_auto_flush_at_batch_size(self, served):
-        summaries, queries, _scale = served
-        micro = QueryFrontend(_StaticSupplier(summaries), batch_size=4)
-        handles = [micro.submit("exact", q) for q in queries[:4]]
-        assert all(handle.ready for handle in handles)  # hit batch_size
-        assert micro.stats.flushes == 1
-
-    def test_lazy_flush_on_result(self, served):
-        summaries, queries, _scale = served
-        micro = QueryFrontend(_StaticSupplier(summaries), batch_size=64)
-        handle = micro.submit("exact", queries[0])
-        other = micro.submit("qdigest", queries[1])
-        assert not handle.ready and not other.ready
-        value = handle.result()  # forces the flush, resolving both
-        assert handle.ready and other.ready
-        one = QueryFrontend(_StaticSupplier(summaries))
-        assert value == pytest.approx(one.query("exact", queries[0]),
-                                      rel=1e-9)
+        with self._service(summaries, 16) as micro:
+            for method in summaries:
+                direct = [one.query(method, query) for query in queries]
+                handles = [micro.submit(method, query) for query in queries]
+                micro.flush()
+                got = [handle.result(0) for handle in handles]
+                np.testing.assert_allclose(
+                    got, direct, rtol=1e-9, atol=1e-9 * scale,
+                    err_msg=method,
+                )
 
     def test_interleaved_methods_one_flush(self, served):
         summaries, queries, scale = served
-        micro = QueryFrontend(_StaticSupplier(summaries), batch_size=1000)
         expected = []
         handles = []
         one = QueryFrontend(_StaticSupplier(summaries))
-        for i, query in enumerate(queries):
-            method = ("sketch", "wavelet", "qdigest")[i % 3]
-            handles.append(micro.submit(method, query))
-            expected.append(one.query(method, query))
-        assert micro.flush() == len(queries)
-        np.testing.assert_allclose(
-            [handle.result() for handle in handles], expected,
-            rtol=1e-9, atol=1e-9 * scale,
-        )
-        assert micro.stats.flushes == 1
-        assert micro.stats.submitted == len(queries)
+        with self._service(summaries, 1000) as micro:
+            for i, query in enumerate(queries):
+                method = ("sketch", "wavelet", "qdigest")[i % 3]
+                handles.append(micro.submit(method, query))
+                expected.append(one.query(method, query))
+            assert micro.flush() == len(queries)
+            np.testing.assert_allclose(
+                [handle.result(0) for handle in handles], expected,
+                rtol=1e-9, atol=1e-9 * scale,
+            )
+            stats = micro.stats()
+        assert stats["flushes"] == 1
+        assert stats["batteries"] == 3  # one kernel call per method
+        assert stats["submitted"] == len(queries)
 
     def test_batch_size_validation(self, served):
         summaries, _queries, _scale = served
         with pytest.raises(ValueError):
-            QueryFrontend(_StaticSupplier(summaries), batch_size=0)
+            self._service(summaries, 0)
 
     def test_flush_failure_isolates_groups(self, served):
         """One group's kernel failure must not orphan the others."""
         summaries, queries, _scale = served
-        micro = QueryFrontend(_StaticSupplier(summaries), batch_size=1000)
-        good = micro.submit("exact", queries[0])
-        bad = micro.submit("sketch", Box((0, 0), (3, 3)))  # 2-D vs 1-D
-        with pytest.raises(ValueError):
-            micro.flush()
-        assert good.ready and bad.ready
-        one = QueryFrontend(_StaticSupplier(summaries))
-        assert good.result() == pytest.approx(
-            one.query("exact", queries[0]), rel=1e-9
-        )
-        with pytest.raises(ValueError):
-            bad.result()
+        with self._service(summaries, 1000) as micro:
+            good = micro.submit("exact", queries[0])
+            bad = micro.submit("sketch", Box((0, 0), (3, 3)))  # 2-D vs 1-D
+            assert micro.flush() == 2
+            assert good.done() and bad.done()
+            one = QueryFrontend(_StaticSupplier(summaries))
+            assert good.result(0) == pytest.approx(
+                one.query("exact", queries[0]), rel=1e-9
+            )
+            with pytest.raises(ValueError):
+                bad.result(0)
 
     def test_bad_query_does_not_poison_same_method_group(self, served):
         """Per-query fallback: co-batched valid queries still answer."""
         summaries, queries, _scale = served
-        micro = QueryFrontend(_StaticSupplier(summaries), batch_size=1000)
-        good = micro.submit("sketch", queries[0])
-        bad = micro.submit("sketch", Box((0, 0), (3, 3)))  # 2-D vs 1-D
-        with pytest.raises(ValueError):
-            micro.flush()
-        one = QueryFrontend(_StaticSupplier(summaries))
-        assert good.result() == pytest.approx(
-            one.query("sketch", queries[0]), rel=1e-9
-        )
-        with pytest.raises(ValueError):
-            bad.result()
+        with self._service(summaries, 1000) as micro:
+            good = micro.submit("sketch", queries[0])
+            bad = micro.submit("sketch", Box((0, 0), (3, 3)))  # 2-D vs 1-D
+            assert micro.flush() == 2
+            one = QueryFrontend(_StaticSupplier(summaries))
+            assert good.result(0) == pytest.approx(
+                one.query("sketch", queries[0]), rel=1e-9
+            )
+            with pytest.raises(ValueError):
+                bad.result(0)
 
-    def test_auto_flush_never_raises_for_neighbor_failure(self, served):
-        """submit() must hand back the caller's handle even when the
-        auto-flush hits another group's kernel failure."""
-        summaries, queries, _scale = served
-        micro = QueryFrontend(_StaticSupplier(summaries), batch_size=2)
-        bad = micro.submit("sketch", Box((0, 0), (3, 3)))  # 2-D vs 1-D
-        good = micro.submit("exact", queries[0])  # triggers auto-flush
-        assert good.ready and bad.ready
-        one = QueryFrontend(_StaticSupplier(summaries))
-        assert good.result() == pytest.approx(
-            one.query("exact", queries[0]), rel=1e-9
-        )
-        with pytest.raises(ValueError):
-            bad.result()
+
+@st.composite
+def qdigest_1d_cases(draw):
+    """``(bits, keys, weights, boxes)`` for the batch q-digest's 1-D
+    kernel: 0-60 keys, and batteries of 0, 1 or many boxes (many always
+    holds the full domain and single keys)."""
+    bits = draw(st.integers(1, 20))
+    top = (1 << bits) - 1
+    key = st.integers(0, top)
+    keys = draw(st.lists(key, max_size=60))
+    weights = draw(st.lists(st.floats(0.01, 100.0), min_size=len(keys),
+                            max_size=len(keys)))
+    interval = st.tuples(key, key).map(sorted)
+    shape = draw(st.sampled_from(("empty", "one", "many")))
+    if shape == "empty":
+        pairs = []
+    elif shape == "one":
+        pairs = [draw(st.one_of(interval, key.map(lambda k: (k, k)),
+                                st.just((0, top))))]
+    else:
+        point = draw(key)
+        pairs = draw(st.lists(interval, max_size=20)) + [
+            (0, top), (0, 0), (top, top), (point, point),
+        ]
+    boxes = [Box((lo,), (hi,)) for lo, hi in pairs]
+    return bits, keys, weights, boxes
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=qdigest_1d_cases(), s=st.integers(1, 50),
+       partial=st.sampled_from(("half", "uniform", "lower")),
+       cut=st.integers(0, 60))
+def test_qdigest_1d_kernel_matches_scalar_query(case, s, partial, cut):
+    """The sorted-leaf kernel (fresh digests) and the dense kernel
+    (merged digests whose leaves overlap) against the scalar query."""
+    bits, keys, weights, boxes = case
+    size = 1 << bits
+    scale = sum(weights) or 1.0
+    digest = QDigestSummary(
+        Dataset.one_dimensional(keys, weights, size), s, partial=partial
+    )
+    assert digest._sorted_1d() is not None
+    got = digest.query_many(boxes)
+    ref = [digest.query(box) for box in boxes]
+    np.testing.assert_allclose(got, ref, rtol=1e-9, atol=1e-9 * scale)
+    # A merged pair takes the dense kernel once its leaves overlap,
+    # which matches the scalar query bit for bit.
+    halves = [
+        QDigestSummary(Dataset.one_dimensional(ks, ws, size), s,
+                       partial=partial)
+        for ks, ws in ((keys[:cut], weights[:cut]),
+                       (keys[cut:], weights[cut:]))
+    ]
+    merged = halves[0].merge(halves[1])
+    got = merged.query_many(boxes)
+    ref = [merged.query(box) for box in boxes]
+    if merged._sorted_1d() is None:
+        assert same_bits(got, ref)
+    else:
+        np.testing.assert_allclose(got, ref, rtol=1e-9, atol=1e-9 * scale)
 
 
 class TestStreamEngineBattery:
