@@ -65,7 +65,10 @@ SWEEP_SECONDS = 1.2  # offered-load duration per rate
 RATE_FACTORS = (0.25, 0.5, 1.0, 2.0)  # x the measured async throughput
 MAX_SWEEP_QUERIES = 60_000
 N_OBS = 8000  # instrumentation-overhead comparison queries
-OBS_REPEATS = 5  # best-of-N per mode (interleaved, noise-robust)
+#: Paired disabled/enabled passes for the telemetry-overhead ratio
+#: (interleaved; the gate reads their median).  Five pairs let host
+#: noise alone push the full-size ratio past its 5% bound.
+OBS_REPEATS = 15
 if SMOKE:
     DOMAIN_BITS = 12
     N_ITEMS = 3000

@@ -59,6 +59,7 @@ from repro.distributed.frontend import (
     OverloadError,
     QueryFrontend,
     ServedAnswer,
+    ServiceClosedError,
     ServingFrontend,
 )
 from repro.distributed.transport import (
@@ -89,6 +90,7 @@ __all__ = [
     "QueryFrontend",
     "ReplyFuture",
     "ServedAnswer",
+    "ServiceClosedError",
     "ServingFrontend",
     "SharedMemoryTransport",
     "TCPTransport",

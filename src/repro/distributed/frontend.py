@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence
 
 from repro import obs as _obs
@@ -71,11 +71,13 @@ class FrontendStats:
     counters are written by tenant threads (``submitted``/``shed``)
     *and* the flusher thread (``flushes``, the batch histogram), so a
     bare ``+= 1`` would be a racy read-modify-write.  Every counter is
-    backed by a :class:`repro.obs.Counter` sharing one lock, mutated
-    through :meth:`inc` / :meth:`record_batch`; the dataclass-era
-    attribute reads and ``as_dict()`` shape are unchanged.  The same
-    counters surface in a metrics registry as ``serving.<field>``
-    (labelled by ``scope``) via :meth:`obs_metrics`.
+    backed by a :class:`repro.obs.Counter` sharing one lock (``lock``,
+    a new one by default), mutated through :meth:`inc` /
+    :meth:`record_batch`; the dataclass-era attribute reads and
+    ``as_dict()`` shape are unchanged.  A :class:`ServingFrontend`
+    passes its queue lock, so ``submit`` counts under the lock it holds
+    anyway.  The same counters surface in a metrics registry as
+    ``serving.<field>`` (labelled by ``scope``) via :meth:`obs_metrics`.
     """
 
     _FIELDS = (
@@ -87,8 +89,10 @@ class FrontendStats:
         "_lock", "batch_hist", "scope", "__weakref__",
     )
 
-    def __init__(self, scope: str = "frontend"):
-        self._lock = threading.Lock()
+    def __init__(
+        self, scope: str = "frontend", lock: Optional[threading.Lock] = None
+    ):
+        self._lock = lock if lock is not None else threading.Lock()
         self.scope = scope
         self.batch_hist: Dict[int, int] = {}
         for name in self._FIELDS:
@@ -97,6 +101,10 @@ class FrontendStats:
     def inc(self, name: str, n: int = 1) -> None:
         """Atomically bump one counter (safe from any thread)."""
         getattr(self, "_" + name).inc(n)
+
+    def counter(self, name: str) -> _obs.Counter:
+        """The :class:`repro.obs.Counter` behind one field."""
+        return getattr(self, "_" + name)
 
     def record_batch(self, size: int) -> None:
         bucket = _batch_bucket(size)
@@ -249,49 +257,63 @@ class OverloadError(RuntimeError):
     """Admission control refused a submission (queue full / tenant cap)."""
 
 
-class ServedAnswer:
-    """Thread-safe handle for one query submitted to a :class:`ServingFrontend`.
+class ServiceClosedError(RuntimeError):
+    """A :class:`ServingFrontend` refused a submission after :meth:`close`.
 
-    Resolved by the frontend's flusher thread; ``done_at`` is stamped
-    (``time.monotonic()``) the moment the answer becomes visible to
-    :meth:`result`, so open-loop harnesses can measure service
-    completion without depending on when the waiting thread gets
-    scheduled again.
+    Unlike :class:`OverloadError` this is not a signal to back off and
+    retry: a closed service answers nothing new, ever.
     """
 
-    __slots__ = ("_cond", "_value", "_error", "tenant", "done_at")
 
-    def __init__(self, cond: threading.Condition, tenant: str):
+class ServedAnswer:
+    """One query submitted to a :class:`ServingFrontend`, and its answer.
+
+    The handle is also the queue entry: it carries the ``method``, the
+    ``query`` and the ``enqueued_at`` stamp (``time.monotonic()``) the
+    flusher reads.  The flusher resolves it; ``done_at`` is stamped the
+    moment the answer becomes visible to :meth:`result`, so open-loop
+    harnesses can measure service completion without depending on when
+    the waiting thread gets scheduled again.
+
+    A resolved answer is read without a lock.  The flusher stores the
+    value (or the error) *before* ``done_at``, and under the GIL
+    attribute stores become visible to other threads in program order
+    (the same guarantee ``Gauge.set`` and ``Counter.value`` rely on), so
+    a reader that sees ``done_at`` set also sees the outcome.  Only an
+    unresolved answer waits, on the frontend's completion condition.
+    """
+
+    __slots__ = (
+        "_cond", "_value", "_error", "method", "query", "tenant",
+        "enqueued_at", "done_at",
+    )
+
+    def __init__(self, cond: threading.Condition, method: str, query,
+                 tenant: str, enqueued_at: float):
         self._cond = cond
         self._value: Optional[float] = None
         self._error: Optional[BaseException] = None
+        self.method = method
+        self.query = query
         self.tenant = tenant
+        self.enqueued_at = enqueued_at
         self.done_at: Optional[float] = None
 
     def done(self) -> bool:
-        return self._value is not None or self._error is not None
+        return self.done_at is not None
 
     def result(self, timeout: Optional[float] = None) -> float:
         """Wait for the flushed answer (re-raises its kernel error)."""
-        with self._cond:
-            if not self._cond.wait_for(self.done, timeout):
-                raise TimeoutError(
-                    f"no answer within {timeout}s (tenant {self.tenant!r})"
-                )
+        if self.done_at is None:
+            with self._cond:
+                if not self._cond.wait_for(self.done, timeout):
+                    raise TimeoutError(
+                        f"no answer within {timeout}s "
+                        f"(tenant {self.tenant!r})"
+                    )
         if self._error is not None:
             raise self._error
-        assert self._value is not None
         return self._value
-
-
-class _QueueEntry:
-    __slots__ = ("method", "query", "answer", "enqueued_at")
-
-    def __init__(self, method, query, answer, enqueued_at):
-        self.method = method
-        self.query = query
-        self.answer = answer
-        self.enqueued_at = enqueued_at
 
 
 class ServingFrontend:
@@ -319,6 +341,14 @@ class ServingFrontend:
       an unbounded queue).  Per-tenant fairness caps any one tenant at
       ``max(1, int(max_pending * tenant_share))`` pending queries, so
       a flooding tenant sheds while the others keep being admitted.
+    * **Close is final**: after :meth:`close` a :meth:`submit` raises
+      :class:`ServiceClosedError`; queries queued before it are still
+      answered by its final flush.
+
+    One plain lock guards the queue, the admission counts and the
+    ``submitted``/``shed`` counters; the flusher's condition is built
+    on it, so a submission takes exactly one lock.  The queue holds the
+    :class:`ServedAnswer` handles themselves.
 
     Each supplier gets its own inner :class:`QueryFrontend` (snapshot
     LRU + sort-order reuse); only the flusher thread touches them, so
@@ -335,9 +365,11 @@ class ServingFrontend:
 
     ``registry`` (default: the process-global one) additionally gates
     the pay-for-what-you-use extras: flush spans, the
-    ``serving.batch_size`` histogram, the per-method kernel time
+    ``serving.batch_size`` histogram and the per-method kernel time
     ``serving.kernel_seconds{method=...}`` (each method group's backend
-    calls in one flush) and the live queue-depth gauge.
+    calls in one flush).  The ``serving.queue_depth`` gauge is read from
+    the queue when a snapshot is taken, so ``submit`` pays nothing for
+    it.
     """
 
     def __init__(
@@ -369,20 +401,24 @@ class ServingFrontend:
         self._max_delay = float(max_delay_ms) / 1000.0
         self._max_pending = int(max_pending)
         self._tenant_cap = max(1, int(max_pending * tenant_share))
-        self._cond = threading.Condition()
-        #: Shared completion condition every ServedAnswer waits on.
-        self._completion = threading.Condition()
-        self._queue: "deque[_QueueEntry]" = deque()
+        #: The queue lock, and the flusher's condition on it.
+        self._lock = threading.Lock()
+        self._cond = threading.Condition(self._lock)
+        #: Shared completion condition every unresolved ServedAnswer
+        #: waits on.
+        self._completion = threading.Condition(threading.Lock())
+        self._queue: List[ServedAnswer] = []
         self._tenant_pending: Dict[str, int] = {}
         self._flush_lock = threading.Lock()
-        self._stats = FrontendStats(scope="serving")
+        self._stats = FrontendStats(scope="serving", lock=self._lock)
+        self._submitted = self._stats.counter("submitted")
         self._flushes_size = _obs.Counter()
         self._flushes_deadline = _obs.Counter()
         self._flushes_forced = _obs.Counter()
         self._shed_tenant = _obs.Counter()
-        self._max_queue_depth = 0  # guarded by self._cond
+        self._max_queue_depth = 0  # guarded by self._lock
         # Always-on per-tenant accounting (keys appear on first use;
-        # mutation under self._cond for the counters created in
+        # mutation under self._lock for the counters created in
         # submit(), the histograms are internally locked).
         self._tenant_served: Dict[str, _obs.Counter] = {}
         self._tenant_shed: Dict[str, _obs.Counter] = {}
@@ -392,25 +428,29 @@ class ServingFrontend:
         self._obs.attach(self)
         self._obs_enabled = self._obs.enabled
         self._batch_size_hist = self._obs.histogram("serving.batch_size")
-        self._queue_gauge = self._obs.gauge("serving.queue_depth")
         self._running = False
+        self._closed = False
         self._thread: Optional[threading.Thread] = None
         if start:
             self.start()
 
     def _tenant(self, store: Dict, tenant: str, factory):
-        """The tenant's metric, created under ``self._cond`` on first use."""
+        """The tenant's metric, created under ``self._lock`` on first use."""
         metric = store.get(tenant)
         if metric is None:
             metric = store[tenant] = factory()
         return metric
 
     def obs_metrics(self):
-        """Registry collector hook: per-tenant + flush-reason metrics."""
-        with self._cond:
+        """Registry collector hook: queue depth, per-tenant and
+        flush-reason metrics."""
+        depth = _obs.Gauge()
+        with self._lock:
             served = list(self._tenant_served.items())
             shed = list(self._tenant_shed.items())
             lat = list(self._tenant_lat.items())
+            depth.set(len(self._queue))
+        yield "serving.queue_depth", {}, depth
         for tenant, counter in served:
             yield "serving.tenant_served", {"tenant": tenant}, counter
         for tenant, counter in shed:
@@ -426,8 +466,10 @@ class ServingFrontend:
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Start the flusher thread (idempotent)."""
-        with self._cond:
+        """Start the flusher thread (idempotent; not after :meth:`close`)."""
+        with self._lock:
+            if self._closed:
+                raise ServiceClosedError("serving frontend is closed")
             if self._running:
                 return
             self._running = True
@@ -437,8 +479,10 @@ class ServingFrontend:
         self._thread.start()
 
     def close(self) -> None:
-        """Stop the flusher, draining queued queries first (idempotent)."""
-        with self._cond:
+        """Refuse new queries, then stop the flusher once every query
+        queued so far is answered (idempotent)."""
+        with self._lock:
+            self._closed = True
             stopping = self._running
             self._running = False
             self._cond.notify_all()
@@ -461,66 +505,73 @@ class ServingFrontend:
 
         Raises :class:`OverloadError` when the pending queue is full or
         the tenant is over its fair share -- callers are expected to
-        back off (shed-on-overload keeps the served tail bounded).
+        back off (shed-on-overload keeps the served tail bounded) --
+        and :class:`ServiceClosedError` once the service is closed.
         """
-        with self._cond:
-            if len(self._queue) >= self._max_pending:
-                self._stats.inc("shed")
+        with self._lock:
+            if self._closed:
+                raise ServiceClosedError(
+                    "serving frontend is closed; no query is accepted"
+                )
+            queue = self._queue
+            depth = len(queue)
+            if depth >= self._max_pending:
+                self._stats.counter("shed").inc_held()
                 self._tenant(self._tenant_shed, tenant, _obs.Counter).inc()
                 raise OverloadError(
                     f"pending queue full ({self._max_pending} queries)"
                 )
-            if self._tenant_pending.get(tenant, 0) >= self._tenant_cap:
-                self._stats.inc("shed")
+            pending = self._tenant_pending.get(tenant, 0)
+            if pending >= self._tenant_cap:
+                self._stats.counter("shed").inc_held()
                 self._shed_tenant.inc()
                 self._tenant(self._tenant_shed, tenant, _obs.Counter).inc()
                 raise OverloadError(
                     f"tenant {tenant!r} over its fair share "
                     f"({self._tenant_cap} pending queries)"
                 )
-            answer = ServedAnswer(self._completion, tenant)
-            self._queue.append(
-                _QueueEntry(method, query, answer, time.monotonic())
+            answer = ServedAnswer(
+                self._completion, method, query, tenant, time.monotonic()
             )
-            self._tenant_pending[tenant] = (
-                self._tenant_pending.get(tenant, 0) + 1
-            )
-            self._stats.inc("submitted")
-            depth = len(self._queue)
+            queue.append(answer)
+            self._tenant_pending[tenant] = pending + 1
+            self._submitted.inc_held()
+            depth += 1
             if depth > self._max_queue_depth:
                 self._max_queue_depth = depth
-            if self._obs_enabled:
-                self._queue_gauge.set(depth)
-            # Wake the flusher when the batch is full -- and on the
-            # first entry, so an idle flusher starts this batch's
-            # max_delay deadline clock instead of sleeping through it.
-            if depth == 1 or depth >= self._batch_size:
-                self._cond.notify_all()
+            # Wake the flusher when the batch fills -- and on the first
+            # entry, so an idle flusher starts this batch's max_delay
+            # deadline clock instead of sleeping through it.  Only the
+            # flusher waits on this condition, and it re-reads the
+            # queue before every wait, so deeper queues need no wake.
+            if depth == 1 or depth == self._batch_size:
+                self._cond.notify()
         return answer
 
     def pending(self) -> int:
         """Queries queued but not yet flushed."""
-        with self._cond:
+        with self._lock:
             return len(self._queue)
 
     # ------------------------------------------------------------------
     # Flushing (flusher thread, or the caller when not started)
     # ------------------------------------------------------------------
-    def _take_locked(self, limit: Optional[int]) -> List[_QueueEntry]:
-        count = (
-            len(self._queue) if limit is None
-            else min(limit, len(self._queue))
-        )
-        batch = [self._queue.popleft() for _ in range(count)]
+    def _take_locked(self, limit: Optional[int]) -> List[ServedAnswer]:
+        """Cut up to ``limit`` queued answers and free their tenants'
+        admission slots."""
+        queue = self._queue
+        if limit is None or limit >= len(queue):
+            batch, self._queue = queue, []
+        else:
+            batch = queue[:limit]
+            del queue[:limit]
+        pending = self._tenant_pending
         for entry in batch:
-            tenant = entry.answer.tenant
-            left = self._tenant_pending.get(tenant, 1) - 1
-            if left <= 0:
-                self._tenant_pending.pop(tenant, None)
+            left = pending[entry.tenant] - 1
+            if left:
+                pending[entry.tenant] = left
             else:
-                self._tenant_pending[tenant] = left
-        if batch:
-            self._cond.notify_all()  # free admission slots
+                del pending[entry.tenant]
         return batch
 
     def flush(self) -> int:
@@ -529,7 +580,7 @@ class ServingFrontend:
         The manual path for ``start=False`` frontends (tests, offline
         replay); counted separately from size/deadline flushes.
         """
-        with self._cond:
+        with self._lock:
             batch = self._take_locked(None)
         if not batch:
             return 0
@@ -538,34 +589,32 @@ class ServingFrontend:
         return len(batch)
 
     def _run(self) -> None:
+        cond = self._cond
         while True:
-            batch: List[_QueueEntry] = []
-            size_flush = False
-            with self._cond:
-                if not self._running and not self._queue:
-                    break
-                if len(self._queue) >= self._batch_size:
-                    size_flush = True
+            with cond:
+                queue = self._queue
+                if len(queue) >= self._batch_size:
+                    reason = self._flushes_size
                     batch = self._take_locked(self._batch_size)
-                elif self._queue:
+                elif queue:
                     wait = (
-                        self._queue[0].enqueued_at + self._max_delay
+                        queue[0].enqueued_at + self._max_delay
                         - time.monotonic()
                     )
                     if wait > 0 and self._running:
-                        self._cond.wait(wait)
+                        cond.wait(wait)
                         continue
+                    reason = self._flushes_deadline
                     batch = self._take_locked(None)
-                else:
-                    self._cond.wait(0.05)
+                elif self._running:
+                    cond.wait(0.05)
                     continue
-            if size_flush:
-                self._flushes_size.inc()
-            else:
-                self._flushes_deadline.inc()
+                else:
+                    break
+            reason.inc()
             self._answer(batch)
 
-    def _answer(self, batch: List[_QueueEntry]) -> None:
+    def _answer(self, batch: List[ServedAnswer]) -> None:
         """Answer one drained batch: one kernel call per method per backend."""
         with self._flush_lock:
             span = (
@@ -573,16 +622,18 @@ class ServingFrontend:
                 if self._obs_enabled else _obs.NULL_SPAN
             )
             with span:
-                by_method: "OrderedDict[str, List[_QueueEntry]]" = (
-                    OrderedDict()
-                )
-                for entry in batch:
-                    by_method.setdefault(entry.method, []).append(entry)
                 self._stats.inc("flushes")
                 self._stats.record_batch(len(batch))
                 if self._obs_enabled:
                     self._batch_size_hist.observe(len(batch))
-                for method, entries in by_method.items():
+                groups: Dict[str, List[ServedAnswer]] = {}
+                for entry in batch:
+                    group = groups.get(entry.method)
+                    if group is None:
+                        groups[entry.method] = [entry]
+                    else:
+                        group.append(entry)
+                for method, entries in groups.items():
                     queries = [entry.query for entry in entries]
                     try:
                         # Compile the battery once; every backend's
@@ -615,21 +666,17 @@ class ServingFrontend:
             backend.query_many(method, queries) for backend in self._backends
         ]
 
-    def _publish(self, entries: List[_QueueEntry], outcomes) -> None:
-        """Make a group's answers (or errors) visible under one lock
-        with one notify; ``done_at`` is that instant."""
+    def _publish(self, entries: List[ServedAnswer], values) -> None:
+        """Make a group's answers visible under one lock with one
+        notify; ``done_at`` is that instant, stored after each value."""
         with self._completion:
             done_at = time.monotonic()
-            for entry, outcome in zip(entries, outcomes):
-                answer = entry.answer
-                if isinstance(outcome, BaseException):
-                    answer._error = outcome
-                else:
-                    answer._value = float(outcome)
+            for answer, value in zip(entries, map(float, values)):
+                answer._value = value
                 answer.done_at = done_at
             self._completion.notify_all()
 
-    def _account_latency(self, batch: List[_QueueEntry]) -> None:
+    def _account_latency(self, batch: List[ServedAnswer]) -> None:
         """Record enqueue->resolve latency per tenant, one pass per flush.
 
         ``done_at`` is stamped by :meth:`_publish`, so every
@@ -640,10 +687,13 @@ class ServingFrontend:
         """
         by_tenant: Dict[str, List[float]] = {}
         for entry in batch:
-            by_tenant.setdefault(entry.answer.tenant, []).append(
-                entry.answer.done_at - entry.enqueued_at
-            )
-        with self._cond:
+            latency = entry.done_at - entry.enqueued_at
+            latencies = by_tenant.get(entry.tenant)
+            if latencies is None:
+                by_tenant[entry.tenant] = [latency]
+            else:
+                latencies.append(latency)
+        with self._lock:
             metrics = [
                 (self._tenant(self._tenant_served, tenant, _obs.Counter),
                  self._tenant(self._tenant_lat, tenant, _obs.Histogram),
@@ -654,7 +704,8 @@ class ServingFrontend:
             served.inc(len(latencies))
             hist.observe_many(latencies)
 
-    def _answer_singly(self, method: str, entries: List[_QueueEntry]) -> None:
+    def _answer_singly(self, method: str,
+                       entries: List[ServedAnswer]) -> None:
         """Fault isolation: pin errors on the queries that actually fail."""
         outcomes: List[object] = []
         for entry in entries:
@@ -665,7 +716,15 @@ class ServingFrontend:
                 ))
             except Exception as error:
                 outcomes.append(error)
-        self._publish(entries, outcomes)
+        with self._completion:
+            done_at = time.monotonic()
+            for answer, outcome in zip(entries, outcomes):
+                if isinstance(outcome, BaseException):
+                    answer._error = outcome
+                else:
+                    answer._value = outcome
+                answer.done_at = done_at
+            self._completion.notify_all()
 
     # ------------------------------------------------------------------
     # Telemetry
@@ -687,7 +746,7 @@ class ServingFrontend:
             merged[key] = sum(
                 getattr(backend.stats, key) for backend in self._backends
             )
-        with self._cond:
+        with self._lock:
             merged.update({
                 "suppliers": len(self._backends),
                 "flushes_size": self._flushes_size.value,

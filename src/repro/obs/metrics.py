@@ -75,6 +75,10 @@ class Counter:
         with self._lock:
             self._value += n
 
+    def inc_held(self, n: int = 1) -> None:
+        """:meth:`inc` for a caller that already holds the counter's lock."""
+        self._value += n
+
     def set(self, value) -> None:
         """Overwrite the count (stats-view property setters only)."""
         with self._lock:

@@ -51,6 +51,11 @@ def dyadic_decompose_interval(lo: int, hi: int, bits: int) -> List[Tuple[int, in
     return cells
 
 
+#: Which cell of an interval's remaining range the cover emits at a
+#: level: the left one when odd, the right one when even.
+_EMIT_PARITY = np.array([1, 0])[:, None]
+
+
 def dyadic_decompose_intervals(
     lows: np.ndarray, highs: np.ndarray, bits: int
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -73,6 +78,9 @@ def dyadic_decompose_intervals(
     ``(bits + 1, 2, q)`` mask holds every emission, and its nonzero
     order is the output order.  ``ceil`` is taken as ``-((-lo) >> k)``,
     so no intermediate exceeds ``hi + 1`` (exact up to ``bits = 62``).
+    The mask is read through its flat nonzero positions: one ``divmod``
+    by the row length ``2q`` splits each into its shift and column,
+    which is cheaper than a 3-D ``nonzero`` plus a boolean gather.
     """
     lo = np.asarray(lows, dtype=np.int64)
     hi = np.asarray(highs, dtype=np.int64)
@@ -82,13 +90,15 @@ def dyadic_decompose_intervals(
         raise ValueError("empty interval")
     if lo.size and (lo.min() < 0 or hi.max() >= (1 << bits)):
         raise ValueError("interval outside domain")
+    q = lo.shape[0]
     shifts = np.arange(bits + 1, dtype=np.int64)[:, None]
     ends = np.stack((-((-lo) >> shifts), ((hi + 1) >> shifts) - 1), axis=1)
-    alive = ends[:, 0] <= ends[:, 1]
-    emit = (ends & 1) == np.array([1, 0])[:, None]
-    emit &= alive[:, None]
-    shift, _side, owners = np.nonzero(emit)
-    return bits - shift, ends[emit], owners
+    emit = (ends & 1) == _EMIT_PARITY
+    emit &= (ends[:, 0] <= ends[:, 1])[:, None]
+    index = np.flatnonzero(emit)
+    shift, column = np.divmod(index, 2 * q)
+    owners = np.where(column >= q, column - q, column)
+    return bits - shift, ends.ravel()[index], owners
 
 
 def dyadic_decompose_box(box, bits_per_axis) -> List[Tuple[Tuple[int, int], ...]]:

@@ -29,6 +29,10 @@ import numpy as np
 #: 256 KB temporaries keep a bulk battery's passes in cache (at 2^18 a
 #: B=10k battery ran ~25% slower).
 _SCAN_CELLS = 1 << 15
+#: Fewest probes :func:`_rank` sorts before searching: below about 500
+#: (B ~ 48 boxes at 10 levels) the argsort, gather and scatter cost
+#: more than the sorted search saves (2-vCPU x86-64 VM).
+_SORTED_SEARCH_MIN = 512
 
 
 def _rank(keys: np.ndarray, probes: np.ndarray,
@@ -36,19 +40,25 @@ def _rank(keys: np.ndarray, probes: np.ndarray,
     """``searchsorted(keys, probes)`` for ``(levels x B)`` probes.
 
     Each row of ``probes`` rises with ``bound`` and every row lies at or
-    above the previous one, so one ``argsort`` of ``bound`` sorts all of
-    them.  Past a few probes per key it is cheaper to count the keys
-    into the sorted probes -- one short search per key, then a
-    ``bincount``/``cumsum`` turns the counts into per-probe ranks --
-    than to binary-search every probe.
+    above the previous one, so one ``argsort`` of ``bound`` sorts all
+    of them.  Sorted probes binary-search far faster than scattered
+    ones (each search starts where the last one ended, and the branches
+    predict), so a battery with enough probes to repay the sort
+    searches them in that order.  Past a few probes per key it is
+    cheaper still to count the keys into the sorted probes -- one short
+    search per key, then a ``bincount``/``cumsum`` turns the counts
+    into per-probe ranks.
     """
-    if probes.size <= max(1024, 2 * keys.size):
+    if probes.size < _SORTED_SEARCH_MIN:
         return np.searchsorted(keys, probes)
     order = np.argsort(bound)
     flat = probes[:, order].ravel()
+    ranks = np.empty_like(probes)
+    if flat.size <= max(1024, 2 * keys.size):
+        ranks[:, order] = np.searchsorted(keys, flat).reshape(probes.shape)
+        return ranks
     counts = np.bincount(np.searchsorted(flat, keys, side="right"),
                          minlength=flat.size + 1)
-    ranks = np.empty_like(probes)
     ranks[:, order] = np.cumsum(counts[:-1]).reshape(probes.shape)
     return ranks
 
@@ -76,7 +86,7 @@ class IntervalTable:
     __slots__ = (
         "level", "lo", "hi", "mass", "height",
         "level_values", "level_starts", "level_spans",
-        "_prefix", "_scan_keys",
+        "_prefix", "_scan_keys", "_scan_consts",
     )
 
     def __init__(self, level, lo, hi, mass, *, height: int):
@@ -101,6 +111,7 @@ class IntervalTable:
         self.level_spans = np.int64(1) << (np.int64(height) - values)
         self._prefix = None
         self._scan_keys = None
+        self._scan_consts = None
 
     def __len__(self) -> int:
         return self.level.shape[0]
@@ -176,6 +187,28 @@ class IntervalTable:
             self._scan_keys = (keys, cells, off, first, last)
         return self._scan_keys
 
+    def _ensure_scan_consts(self):
+        """The per-level ``(levels, 1)`` columns a scan broadcasts
+        against its boxes (cached, like the keys they derive from).
+
+        Cell widths are powers of two, so the scan divides by shifting:
+        ``shift`` is ``height - level`` and ``span`` is ``1 << shift``.
+        The clamp bounds and the key offsets of both probes are folded
+        into ready columns, and ``level`` is each level's index, which
+        is also its slot offset into :meth:`_ensure_prefix`.
+        """
+        if self._scan_consts is None:
+            _keys, _cells, off, first, last = self._ensure_scan_keys()
+            shift = self.height - self.level_values
+            self._scan_consts = tuple(column[:, None] for column in (
+                shift, self.level_spans, self.level_spans.astype(float),
+                first, last + 1, off - first,
+                first - 1, last, off - first + 1,
+                self.level_starts[:-1], self.level_starts[1:],
+                np.arange(self.level_values.shape[0]),
+            ))
+        return self._scan_consts
+
     def scan_bounds(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """Range sums of the boxes ``[lo[i], hi[i]]``, all levels at once.
 
@@ -201,35 +234,30 @@ class IntervalTable:
                 self.scan_bounds(lo[i:i + chunk], hi[i:i + chunk])
                 for i in range(0, lo.shape[0], chunk)
             ])
-        keys, cells, off, first, last = self._ensure_scan_keys()
-        s, off, first, last, start, end = (
-            column[:, None] for column in (
-                self.level_spans, off, first, last,
-                self.level_starts[:-1], self.level_starts[1:],
-            )
-        )
+        keys, cells = self._ensure_scan_keys()[:2]
+        (shift, s, s_float, a_min, a_max, a_key, b_min, b_max, b_key,
+         start, end, level) = self._ensure_scan_consts()
         # Contained cell run [a, b] per level; probes clamped into the
         # level's key range find the first cell >= a and the first
         # cell > b (searchsorted 'right' on b == 'left' on b + 1).
-        c_lo = lo // s
-        lo_floor = c_lo * s
+        c_lo = lo >> shift
+        lo_floor = c_lo << shift
         lo_cut = lo != lo_floor
         a = c_lo + lo_cut
         hi1 = hi + 1
-        b = hi1 // s - 1
-        hi1_floor = (b + 1) * s
+        b = (hi1 >> shift) - 1
+        hi1_floor = (b + 1) << shift
         hi_cut = hi1 != hi1_floor
         c_hi = b + hi_cut
-        run_lo = _rank(keys, np.minimum(np.maximum(a, first), last + 1)
-                       - first + off, lo)
-        run_end = _rank(keys, np.minimum(np.maximum(b, first - 1), last)
-                        - first + off + 1, hi)
+        run_lo = _rank(keys, np.minimum(np.maximum(a, a_min), a_max) + a_key,
+                       lo)
+        run_end = _rank(keys, np.minimum(np.maximum(b, b_min), b_max) + b_key,
+                        hi)
         prefix = self._ensure_prefix()
         # Level j's prefix values sit j slots after its rows.
-        shift = np.arange(n_levels)[:, None]
         parts = np.empty((n_levels, 3, lo.shape[0]))
-        parts[:, 0] = (prefix[np.maximum(run_end, run_lo) + shift]
-                       - prefix[run_lo + shift])
+        parts[:, 0] = (prefix[np.maximum(run_end, run_lo) + level]
+                       - prefix[run_lo + level])
         # Straddling cells, at most the one holding each endpoint: an
         # unaligned lo's cell sits just left of the run (an aligned box
         # narrower than a cell, a > b, in the run's first slot); an
@@ -246,7 +274,7 @@ class IntervalTable:
                             hi1 - np.maximum(lo, hi1_floor)))
         parts[:, 1:] = np.where(
             inside & (cells[rows] == np.stack((c_lo, c_hi))),
-            self.mass[rows] * overlap / s.astype(float), 0.0,
+            self.mass[rows] * overlap / s_float, 0.0,
         ).transpose(1, 0, 2)
         # Summing down axis 0 adds the rows strictly in order per box; a
         # lone box would reduce as one contiguous run, which NumPy sums

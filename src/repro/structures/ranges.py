@@ -327,16 +327,19 @@ def stack_boxes(boxes) -> np.ndarray:
     boxes = list(boxes)
     if not boxes:
         return np.zeros((0, 0, 2), dtype=np.int64)
-    dims = len(boxes[0].lows)
-    if any(len(box.lows) != dims for box in boxes):
+    lows = [box.lows for box in boxes]
+    highs = [box.highs for box in boxes]
+    dims = len(lows[0])
+    lengths = set(map(len, lows))
+    lengths.update(map(len, highs))
+    if lengths != {dims}:
         raise ValueError("all boxes must share dimensionality")
-    flat = chain.from_iterable
     values = np.fromiter(
-        flat(flat((box.lows, box.highs) for box in boxes)),
+        chain.from_iterable(chain(lows, highs)),
         dtype=np.int64, count=2 * dims * len(boxes),
     )
     return np.ascontiguousarray(
-        values.reshape(len(boxes), 2, dims).transpose(0, 2, 1)
+        values.reshape(2, len(boxes), dims).transpose(1, 2, 0)
     )
 
 
@@ -360,17 +363,26 @@ class QueryPlan(Sequence):
     * :meth:`padded` -- ``(q, r, d, 2)`` with ``r = max(counts)``,
       left-aligned and padded with the empty sentinel box ``lo=0,
       hi=-1`` (computed lazily, cached on the plan).
+
+    :attr:`single_box` says whether every query is a single box (flat
+    == padded, and :meth:`reduce_boxes` is the identity).
     """
 
-    __slots__ = ("queries", "bounds", "counts", "offsets", "_padded")
+    __slots__ = (
+        "queries", "bounds", "counts", "offsets", "single_box", "_padded",
+    )
 
     def __init__(self, queries: List[Union[Box, MultiRangeQuery]]):
         self.queries = queries
         self._padded: Optional[np.ndarray] = None
-        if queries and all(isinstance(query, Box) for query in queries):
+        # One type check per distinct type, not per query.
+        if queries and all(
+            issubclass(kind, Box) for kind in set(map(type, queries))
+        ):
             self.bounds = stack_boxes(queries)
             self.counts = np.ones(len(queries), dtype=np.int64)
             self.offsets = np.arange(len(queries), dtype=np.int64)
+            self.single_box = True
             return
         parts = [
             query.stacked_bounds() for query in queries
@@ -390,6 +402,7 @@ class QueryPlan(Sequence):
         self.offsets = np.concatenate(
             ([0], np.cumsum(self.counts)[:-1])
         ) if parts else np.zeros(0, dtype=np.int64)
+        self.single_box = bool((self.counts == 1).all())
 
     def __len__(self) -> int:
         return len(self.queries)
@@ -406,11 +419,6 @@ class QueryPlan(Sequence):
     def num_boxes(self) -> int:
         """Total constituent boxes across the battery."""
         return self.bounds.shape[0]
-
-    @property
-    def single_box(self) -> bool:
-        """Whether every query is a single box (flat == padded)."""
-        return bool((self.counts == 1).all()) if len(self.queries) else True
 
     def padded(self) -> np.ndarray:
         """The ``(q, r, d, 2)`` padded-bounds layout (lazy, cached).
@@ -791,7 +799,8 @@ def batch_query_sums(
             f"dimensionality mismatch: boxes have {plan.dims} "
             f"axes, coords have {coords.shape[1]}"
         )
-    overlapping = [
+    # A battery of single boxes has no union to double-count.
+    overlapping = [] if plan.single_box else [
         i
         for i, query in enumerate(queries)
         if plan.counts[i] > 1

@@ -49,6 +49,31 @@ _MASK64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 DEFAULT_HASH_SEED = 0xC0FFEE
 
 
+def median_rows(block: np.ndarray) -> np.ndarray:
+    """``np.median(block, axis=0)`` of a ``(depth, n)`` block, bit for bit.
+
+    An odd-even transposition network of elementwise ``minimum`` /
+    ``maximum`` sorts each column across the rows; the median is the
+    middle row, or the mean of the two middle rows at even depth.
+    ``np.median`` averages through a sum that starts at ``+0.0``, so a
+    zero median is always ``+0.0``; adding ``0.0`` first does the same
+    here, and the even case sums in the same order, which keeps every
+    bit (signed zeros, subnormals and overflow to infinity included).
+    ``depth`` elementwise passes replace a per-column partition, which
+    costs far more on the short columns of a sketch.
+    """
+    rows = list(block)
+    depth = len(rows)
+    for round_ in range(depth):
+        for i in range(round_ % 2, depth - 1, 2):
+            low, high = rows[i], rows[i + 1]
+            rows[i], rows[i + 1] = np.minimum(low, high), np.maximum(low, high)
+    middle = depth // 2
+    if depth % 2:
+        return rows[middle] + 0.0
+    return (rows[middle - 1] + 0.0 + rows[middle]) / 2
+
+
 def _hash(keys, mul, add, sign_mul, sign_add, width):
     """Multiply-shift buckets and ``+-1`` signs of uint64 ``keys``.
 
@@ -123,7 +148,7 @@ class CountSketch:
             return np.zeros(0)
         rows = np.arange(self.depth)[:, None]
         buckets, signs = self._hash_rows(keys, rows)
-        return np.median(self._table[rows, buckets] * signs, axis=0)
+        return median_rows(self._table[rows, buckets] * signs)
 
     def estimate(self, key: int) -> float:
         """Estimate for a single key."""
@@ -449,10 +474,12 @@ class DyadicSketchSummary(Summary, IncrementalSummary):
         """Every level sketch's table and hash constants, stacked.
 
         ``tables`` holds the ``(depth, width)`` tables back to back in
-        :meth:`_level_pairs` order; ``consts[:, p]`` holds pair ``p``'s
-        per-row bucket multipliers and addends, sign multipliers and
-        addends, and the rows' offsets into ``tables``.  Rebuilt only
-        after :meth:`update` bumps :attr:`version`.
+        :meth:`_level_pairs` order.  ``consts`` is ``(pairs, 5 *
+        depth)``: row ``p`` holds pair ``p``'s per-row bucket
+        multipliers and addends, sign multipliers and addends, and the
+        rows' offsets into ``tables``, so a battery gathers its cells'
+        constants as whole rows.  Rebuilt only after :meth:`update`
+        bumps :attr:`version`.
         """
         cached = self.__dict__.get("_stacked")
         if cached is None or cached[0] != self._version:
@@ -465,6 +492,9 @@ class DyadicSketchSummary(Summary, IncrementalSummary):
                              "sign_add")
             ] + [rows.reshape(len(states), -1) * np.uint64(self._width)],
                 dtype=np.uint64)
+            consts = np.ascontiguousarray(
+                consts.transpose(1, 0, 2).reshape(len(states), -1)
+            )
             tables = np.concatenate([state["table"].ravel()
                                      for state in states])
             cached = (self._version, tables, consts)
@@ -475,15 +505,20 @@ class DyadicSketchSummary(Summary, IncrementalSummary):
         """Estimates of cells ``keys`` at level-pair indices ``pairs``.
 
         Every cell is hashed for every row in one :func:`_hash` call, on
-        the pair's constants, and the median over rows taken -- bit for
-        bit the level sketch's own ``estimate_many``.  A cell shared by
-        several boxes is simply estimated once per box.
+        the pair's constants, and the median over rows taken
+        (:func:`median_rows`) -- bit for bit the level sketch's own
+        ``estimate_many``.  A cell shared by several boxes is simply
+        estimated once per box.
         """
         tables, consts = self._stacked_levels()
-        mul, add, sign_mul, sign_add, rows = consts.take(pairs, axis=1)
-        buckets, signs = _hash(keys.astype(np.uint64)[:, None], mul, add,
+        # Gathered as rows, then laid out rows-first: every hash and
+        # median pass below runs over contiguous (depth, cells) arrays.
+        mul, add, sign_mul, sign_add, rows = np.ascontiguousarray(
+            consts.take(pairs, axis=0).T
+        ).reshape(5, self._depth, -1)
+        buckets, signs = _hash(keys.astype(np.uint64, copy=False), mul, add,
                                sign_mul, sign_add, self._width)
-        return np.median(tables[rows + buckets] * signs, axis=1)
+        return median_rows(tables[rows + buckets] * signs)
 
     def _cover(self, bounds: np.ndarray):
         """``(level-pair indices, cell keys, owners)`` covering a chunk

@@ -3,11 +3,16 @@
 Property tests over random boxes: ``Box.contains_many``,
 ``batch_union_masks`` and ``batch_query_sums`` must agree with the
 per-box/per-query reference implementations on every summary type that
-overrides ``query_many``.
+overrides ``query_many``.  Generated batteries (``hypothesis``) mix
+plain boxes with disjoint and overlapping multi-range unions in 1-D
+and 2-D, so the batch kernel's single-box and union paths both meet
+the scalar loop.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.estimator import SampleSummary
 from repro.core.types import Dataset
@@ -221,3 +226,76 @@ class TestSummaryQueryMany:
             tau=0.0,
         )
         assert empty.query_many(queries) == [0.0] * len(queries)
+
+
+# ----------------------------------------------------------------------
+# Generated mixed batteries: boxes beside disjoint and overlapping unions
+# ----------------------------------------------------------------------
+GEN_SIZE = 64
+
+
+@st.composite
+def mixed_batteries(draw):
+    """``(dims, coords, weights, battery)``: the battery mixes
+    :class:`Box` with :class:`MultiRangeQuery` -- disjoint unions and
+    ``check_disjoint=False`` ones that may overlap -- and may be empty,
+    all boxes, or hold full-domain boxes."""
+    dims = draw(st.integers(1, 2))
+    top = GEN_SIZE - 1
+    n = draw(st.integers(0, 60))
+    coords = np.asarray(
+        draw(st.lists(st.lists(st.integers(0, top), min_size=dims,
+                               max_size=dims), min_size=n, max_size=n)),
+        dtype=np.int64,
+    ).reshape(n, dims)
+    weights = np.asarray(draw(st.lists(
+        st.floats(0.01, 1000.0), min_size=n, max_size=n)))
+    side = st.tuples(st.integers(0, top), st.integers(0, top)).map(sorted)
+    box = st.one_of(
+        st.lists(side, min_size=dims, max_size=dims).map(
+            lambda sides: Box(tuple(lo for lo, _ in sides),
+                              tuple(hi for _, hi in sides))),
+        st.just(Box((0,) * dims, (top,) * dims)),
+    )
+
+    def disjoint(boxes):
+        kept = []
+        for candidate in boxes:
+            if not any(candidate.intersects(other) for other in kept):
+                kept.append(candidate)
+        return MultiRangeQuery(kept)
+
+    query = st.one_of(
+        box,
+        st.lists(box, min_size=1, max_size=4).map(disjoint),
+        st.lists(box, min_size=1, max_size=4).map(
+            lambda boxes: MultiRangeQuery(boxes, check_disjoint=False)),
+    )
+    battery = draw(st.lists(query, max_size=12))
+    return dims, coords, weights, battery
+
+
+def _scalar_loop(summary, battery):
+    return [
+        summary.query(query) if isinstance(query, Box)
+        else summary.query_multi(query)
+        for query in battery
+    ]
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=mixed_batteries())
+def test_generated_mixed_batteries_match_scalar_loop(case):
+    dims, coords, weights, battery = case
+    summaries = (
+        SampleSummary(coords=coords, weights=weights, tau=0.0),
+        ExactSummary.from_arrays(coords, weights),
+    )
+    scale = float(weights.sum()) if weights.size else 1.0
+    for summary in summaries:
+        got = summary.query_many(battery)
+        assert len(got) == len(battery)
+        np.testing.assert_allclose(
+            got, _scalar_loop(summary, battery), rtol=1e-9,
+            atol=1e-12 * scale,
+        )

@@ -10,7 +10,8 @@ The contract is *bit*-identity with the per-level kernels they replace:
 * generated cases (``hypothesis``) over random small digests and
   sketches up to 62-bit domains, with full-domain boxes, single keys,
   empty and one-box batteries, and empty digests;
-* bulk batteries, which rank their probes by counting.
+* bulk batteries, which rank their probes by counting;
+* the sketch's min/max median against ``np.median``, bitwise.
 """
 
 import json
@@ -29,7 +30,7 @@ from repro.structures.dyadic import (
 from repro.structures.product import line_domain
 from repro.structures.ranges import Box, MultiRangeQuery, compile_query_plan
 from repro.summaries.qdigest_stream import StreamingQDigest
-from repro.summaries.sketch import DyadicSketchSummary
+from repro.summaries.sketch import DyadicSketchSummary, median_rows
 
 GOLDEN = pathlib.Path(__file__).with_name("golden_fused_kernels.json")
 GOLDEN_SEEDS = (0, 1)
@@ -269,3 +270,30 @@ def test_mixed_dimensionality_battery_raises():
         compile_query_plan([one, two])
     with pytest.raises(ValueError):
         compile_query_plan([one, MultiRangeQuery([two])])
+
+
+@pytest.mark.parametrize("depth", range(1, 8))
+def test_median_rows_equals_np_median_bitwise(depth):
+    """The sketch's elementwise median keeps every bit of
+    ``np.median(axis=1)`` at odd and even depths: a zero median is
+    ``+0.0`` whatever the zeros' signs, all-zero columns included, and
+    subnormals and magnitudes near overflow round the same way."""
+    rng = np.random.default_rng(depth)
+    specials = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300,
+                         1e300, -1e300, 1.7e308, -1.7e308, 1.0, -1.0])
+    signs = rng.choice([1.0, -1.0], size=(depth, 400))
+    blocks = [
+        rng.choice(specials, size=(depth, 400)),
+        rng.choice([0.0, -0.0], size=(depth, 400)),
+        np.zeros((depth, 3)),
+        -np.zeros((depth, 3)),
+        rng.integers(-2, 3, size=(depth, 400)) * signs,
+        rng.normal(size=(depth, 400))
+        * 10.0 ** rng.integers(-300, 301, size=(depth, 400)),
+        np.zeros((depth, 0)),
+    ]
+    for block in blocks:
+        with np.errstate(over="ignore"):
+            expect = np.median(block.T, axis=1)
+            got = median_rows(block)
+        assert same_bits(got, expect)

@@ -482,6 +482,21 @@ class TestPerTenantAccounting:
         service.close()
 
 
+class TestQueueDepthGauge:
+    def test_read_live_at_snapshot(self, registry):
+        """``serving.queue_depth`` is the queue's length when the
+        snapshot is taken: it rises with submissions and drops to zero
+        once a flush drains them."""
+        service = ServingFrontend(_static_supplier(dataset()),
+                                  batch_size=64, start=False)
+        for query in battery()[:3]:
+            service.submit("exact", query)
+        assert registry.snapshot()["serving.queue_depth"] == 3
+        service.flush()
+        assert registry.snapshot()["serving.queue_depth"] == 0
+        service.close()
+
+
 class TestKernelSeconds:
     def test_per_method_kernel_time(self, registry):
         """Each method group's backend calls land in one labelled

@@ -6,12 +6,15 @@ Covers the serving-tier contracts end to end:
   :class:`Backpressure` shedding, FIFO reply matching;
 * :class:`ServingFrontend` -- deadline- and size-triggered flushes,
   admission control (queue-full and per-tenant fair-share sheds),
-  cross-supplier fan-out sums, per-query fault isolation;
+  cross-supplier fan-out sums, per-query fault isolation, the
+  lock-free read of resolved answers under contending submitters, and
+  the closed service's typed refusal;
 * async/sync parity -- concurrent ``distributed_build`` calls through
   one coordinator stay bit-identical to ``build_sharded``, and their
   per-build wire accounting sums exactly to the transport's counters.
 """
 
+import sys
 import threading
 import time
 
@@ -25,6 +28,7 @@ from repro.distributed import (
     Coordinator,
     InProcessTransport,
     OverloadError,
+    ServiceClosedError,
     ServingFrontend,
     distributed_build,
 )
@@ -206,6 +210,24 @@ class TestServingFlush:
         assert stats["flushes_deadline"] == 0
         assert stats["batch_hist"].get(4) == 1
 
+    def test_filling_batch_wakes_waiting_flusher(self):
+        """Once the flusher sleeps on the first query's deadline, only
+        the query that fills the batch may wake it."""
+        with ServingFrontend(
+            exact_supplier(dataset()), batch_size=4,
+            max_delay_ms=60_000.0,  # deadline effectively never
+        ) as service:
+            first = service.submit("exact", battery()[0])
+            time.sleep(0.05)  # the flusher now waits out the deadline
+            handles = [first] + [
+                service.submit("exact", query) for query in battery()[1:4]
+            ]
+            values = [handle.result(5.0) for handle in handles]
+            stats = service.stats()
+        assert all(value > 0 for value in values)
+        assert stats["flushes_size"] == 1
+        assert stats["flushes_deadline"] == 0
+
     def test_answers_match_direct_queries(self):
         data = dataset()
         supplier = exact_supplier(data)
@@ -295,6 +317,113 @@ class TestAdmissionControl:
             stats = service.stats()
             assert stats["shed_tenant"] == 3
             assert stats["submitted"] == 6
+
+
+class TestConcurrentSubmitters:
+    def test_lock_free_answers_bitwise_under_contention(self):
+        """Four submitters and the flusher, with a tiny switch interval:
+        every handle resolves, reads the very bits of the summary's own
+        ``query_many``, and a failing query raises its own error from
+        the lock-free read path."""
+        data = dataset()
+        summaries = {
+            method: build(method, data, SIZE, np.random.default_rng(3))
+            for method in ("exact", "obliv", "sketch", "qdigest-stream")
+        }
+        methods = list(summaries)
+        rng = np.random.default_rng(8)
+        writers, per_writer = 4, 400
+        lows = rng.integers(0, DOMAIN, (writers, per_writer))
+        highs = np.minimum(lows + rng.integers(0, DOMAIN // 4, lows.shape),
+                           DOMAIN - 1)
+        work = [
+            [(methods[i % len(methods)], Box((lo,), (hi,)))
+             for i, (lo, hi) in enumerate(zip(row_lo.tolist(),
+                                              row_hi.tolist()))]
+            for row_lo, row_hi in zip(lows, highs)
+        ]
+        # One 2-D box per writer: its kernel group fails, and only this
+        # query may carry the error.
+        bad_at = [7 * w + 5 for w in range(writers)]
+        for w, jobs in enumerate(work):
+            jobs[bad_at[w]] = ("sketch", Box((w, 0), (w + 9, 9)))
+        handles = [[] for _ in range(writers)]
+        errors = []
+
+        def submit_all(w):
+            try:
+                for i, (method, query) in enumerate(work[w]):
+                    handles[w].append(
+                        service.submit(method, query, tenant=f"t{w}")
+                    )
+                    # Read back while the flusher publishes: some of
+                    # these wait, some are already resolved.
+                    if i % 16 == 15 and i - 8 != bad_at[w]:
+                        handles[w][i - 8].result(30.0)
+            except Exception as error:  # pragma: no cover - reported
+                errors.append(error)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ServingFrontend(
+                StaticSupplier(summaries), batch_size=32, max_delay_ms=0.5,
+                max_pending=writers * per_writer, tenant_share=1.0,
+            ) as service:
+                threads = [threading.Thread(target=submit_all, args=(w,))
+                           for w in range(writers)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(30.0)
+                assert not any(thread.is_alive() for thread in threads)
+            stats = service.stats()  # close() answered the rest
+        finally:
+            sys.setswitchinterval(switch)
+        assert not errors
+        assert stats["submitted"] == writers * per_writer
+        assert stats["pending"] == 0
+        raised = []
+        for w, row in enumerate(handles):
+            assert len(row) == per_writer
+            assert all(handle.done_at is not None for handle in row)
+            with pytest.raises(ValueError, match="dimensionality") as first:
+                row[bad_at[w]].result(0)
+            with pytest.raises(ValueError) as again:
+                row[bad_at[w]].result(0)
+            assert again.value is first.value
+            raised.append(first.value)
+        assert len({id(error) for error in raised}) == writers
+        for method, summary in summaries.items():
+            good = [handle for w, row in enumerate(handles)
+                    for i, handle in enumerate(row)
+                    if handle.method == method and i != bad_at[w]]
+            direct = summary.query_many([handle.query for handle in good])
+            served = [handle.result(0) for handle in good]
+            assert np.array_equal(np.asarray(served).view(np.int64),
+                                  np.asarray(direct).view(np.int64)), method
+
+
+class TestClosedService:
+    @pytest.mark.parametrize("start", (True, False))
+    def test_close_answers_queued_then_refuses(self, start):
+        service = ServingFrontend(
+            exact_supplier(dataset()), batch_size=64,
+            max_delay_ms=60_000.0, start=start,  # only close() flushes
+        )
+        queued = [service.submit("exact", query) for query in battery()]
+        service.close()
+        assert all(handle.done() for handle in queued)
+        assert all(handle.result(0) > 0 for handle in queued)
+        with pytest.raises(ServiceClosedError):
+            service.submit("exact", battery()[0])
+        with pytest.raises(ServiceClosedError):
+            service.start()
+        assert not issubclass(ServiceClosedError, OverloadError)
+        stats = service.stats()
+        assert stats["pending"] == 0
+        assert stats["submitted"] == len(queued)
+        service.close()  # idempotent
 
 
 # ----------------------------------------------------------------------
