@@ -1,9 +1,9 @@
 """Before/after timings of the vectorized offline build kernels.
 
 Times the fig3a (network) and fig3b (tickets) build paths at one
-million items, once through the historical scalar pipeline
-(``strict_seed=True``) and once through the vectorized NumPy kernels
-(the default), and records both in ``BENCH_build.json``.  The
+million items, once through the paper's scalar pipeline (the
+item-at-a-time oracles in ``tests/oracles.py``) and once through the
+vectorized NumPy kernels, and records both in ``BENCH_build.json``.  The
 vectorized path must be at least 5x faster on every (dataset, method)
 cell; smoke mode shrinks the datasets and skips the speedup assertion
 (timings at toy sizes are dominated by fixed costs).
@@ -14,6 +14,8 @@ fig3b throughput figures are built from, at the paper-scale item
 count those figures target.
 """
 
+import importlib.util
+import pathlib
 import time
 
 import numpy as np
@@ -41,22 +43,37 @@ if SMOKE:
     NETWORK = NetworkConfig(n_pairs=3_000, n_sources=1_000, n_dests=800)
     TICKETS = TicketConfig(n_combinations=3_000)
 
+
+def _load_oracles():
+    """``tests/oracles.py``, loaded by file path.
+
+    Putting ``tests/`` on ``sys.path`` instead could make this file's
+    ``from conftest import ...`` resolve to ``tests/conftest.py``.
+    """
+    root = pathlib.Path(__file__).resolve().parents[1]
+    path = root / "tests" / "oracles.py"
+    spec = importlib.util.spec_from_file_location("repro_oracles", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+oracles = _load_oracles()
+
+#: (method, vectorized builder, scalar oracle builder)
 BUILDERS = (
-    ("obliv", stream_varopt_summary),
-    ("aware", two_pass_summary),
+    ("obliv", stream_varopt_summary, oracles.stream_varopt_summary),
+    ("aware", two_pass_summary, oracles.two_pass_summary),
 )
 
 
-def _timed(builder, data, strict_seed):
+def _timed(builder, data):
     """Best-of-``TRIALS`` total wall time of ``REPEATS`` seeded builds."""
     best = float("inf")
     for _trial in range(TRIALS):
         start = time.perf_counter()
         for repeat in range(REPEATS):
-            summary = builder(
-                data, SIZE, np.random.default_rng(17 + repeat),
-                strict_seed=strict_seed,
-            )
+            summary = builder(data, SIZE, np.random.default_rng(17 + repeat))
         best = min(best, time.perf_counter() - start)
     return summary, best
 
@@ -69,9 +86,9 @@ def test_build_kernels(results_dir):
     records = []
     lines = ["== Offline build kernels: scalar vs vectorized =="]
     for label, data in datasets:
-        for method, builder in BUILDERS:
-            before_summary, before = _timed(builder, data, strict_seed=True)
-            after_summary, after = _timed(builder, data, strict_seed=False)
+        for method, builder, oracle in BUILDERS:
+            before_summary, before = _timed(oracle, data)
+            after_summary, after = _timed(builder, data)
             # Both paths realize the same sampling distribution: the
             # thresholds agree (up to the float association of the
             # streaming vs offline fixpoint) and the realized sizes

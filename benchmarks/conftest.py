@@ -2,7 +2,8 @@
 
 Each ``bench_figNx`` file regenerates one figure of the paper's
 evaluation; results are printed and also written to
-``benchmarks/results/`` so EXPERIMENTS.md can be refreshed from a run.
+``benchmarks/results/`` so the README's tables can be refreshed from a
+run.
 
 Smoke mode (``BENCH_SMOKE=1``, used by the CI smoke job) runs every
 benchmark end to end at tiny sizes so the scripts cannot silently rot;

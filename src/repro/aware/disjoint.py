@@ -9,15 +9,11 @@ floor/ceil of its expected count: Δ < 1.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from repro.core.aggregation import (
-    aggregate_pool,
-    finalize_leftover,
-    included_indices,
-)
+from repro.core.aggregation import finalize_leftover, included_indices
 from repro.core.chain import (
     chain_aggregate,
     run_starts,
@@ -33,7 +29,6 @@ def disjoint_aware_sample(
     weights: np.ndarray,
     s: float,
     rng: np.random.Generator,
-    strict_seed: bool = False,
 ) -> Tuple[np.ndarray, float, np.ndarray]:
     """VarOpt_s sample with per-range discrepancy < 1 over a partition.
 
@@ -52,35 +47,29 @@ def disjoint_aware_sample(
     Returns
     -------
     (included, tau, probs) as in the other aware samplers.
+
+    Raises
+    ------
+    ValueError
+        If ``labels`` and ``weights`` differ in length, or a weight is
+        negative or not finite.
     """
     labels = np.asarray(labels)
     weights = np.asarray(weights, dtype=float)
+    if labels.shape[:1] != weights.shape[:1]:
+        raise ValueError("labels and weights must have matching length")
     p, tau = ipps_probabilities(weights, s)
     p_initial = p.copy()
     fractional = np.flatnonzero((p > 0.0) & (p < 1.0))
-    if strict_seed:
-        leftovers = []
-        if fractional.size:
-            order = np.argsort(labels[fractional], kind="stable")
-            idx_sorted = fractional[order]
-            lbl_sorted = labels[idx_sorted]
-            boundaries = np.flatnonzero(np.diff(lbl_sorted)) + 1
-            starts = np.concatenate(([0], boundaries, [idx_sorted.size]))
-            for lo, hi in zip(starts[:-1], starts[1:]):
-                leftover = aggregate_pool(p, idx_sorted[lo:hi].tolist(), rng)
-                if leftover is not None:
-                    leftovers.append(leftover)
-        final = aggregate_pool(p, leftovers, rng)
-    else:
-        final = None
-        if fractional.size:
-            # All ranges resolve in one segmented pass; only their
-            # leftovers cross range boundaries, exactly the rule.
-            order = np.argsort(labels[fractional], kind="stable")
-            idx_sorted = fractional[order]
-            starts = run_starts(labels[idx_sorted])
-            leftovers = segmented_chain_aggregate(p, idx_sorted, starts, rng)
-            final = chain_aggregate(p, leftovers[leftovers >= 0], rng)
+    final = None
+    if fractional.size:
+        # All ranges resolve in one segmented pass; only their
+        # leftovers cross range boundaries, exactly the rule.
+        order = np.argsort(labels[fractional], kind="stable")
+        idx_sorted = fractional[order]
+        starts = run_starts(labels[idx_sorted])
+        leftovers = segmented_chain_aggregate(p, idx_sorted, starts, rng)
+        final = chain_aggregate(p, leftovers[leftovers >= 0], rng)
     finalize_leftover(p, final, rng)
     return included_indices(p), tau, p_initial
 
@@ -90,11 +79,10 @@ def disjoint_aware_summary(
     labels: np.ndarray,
     s: float,
     rng: np.random.Generator,
-    strict_seed: bool = False,
 ) -> SampleSummary:
     """Disjoint-range aware VarOpt summary of a dataset."""
     included, tau, _probs = disjoint_aware_sample(
-        labels, dataset.weights, s, rng, strict_seed=strict_seed
+        labels, dataset.weights, s, rng
     )
     return SampleSummary(
         coords=dataset.coords[included],

@@ -1,11 +1,11 @@
 """Hierarchy-structure aware sampling (paper Section 3).
 
 Pair selection rule: always aggregate a pair with the *lowest* LCA.  We
-realize the rule with one bottom-up recursion over the hierarchy
-induced by the present keys: every node first lets its children resolve
-internally (each child subtree returns at most one fractional
-"leftover" key) and then pair-aggregates the child leftovers.  Pairs
-are therefore consumed in non-decreasing LCA depth -- exactly the rule.
+realize the rule bottom-up over the hierarchy induced by the present
+keys, one level at a time: every node first lets its children resolve
+internally (each child subtree keeps at most one fractional "leftover"
+key) and then pair-aggregates the child leftovers.  Pairs are
+therefore consumed in non-increasing LCA depth -- exactly the rule.
 
 Consequence (paper Section 3): for every node ``v``, the mass under
 ``v`` is conserved until at most one fractional key remains below it,
@@ -16,17 +16,11 @@ an unbiased sample.
 
 from __future__ import annotations
 
-import sys
 from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.core.aggregation import (
-    aggregate_pool,
-    finalize_leftover,
-    included_indices,
-    is_set,
-)
+from repro.core.aggregation import finalize_leftover, included_indices
 from repro.core.chain import (
     chain_aggregate,
     run_starts,
@@ -36,46 +30,6 @@ from repro.core.estimator import SampleSummary
 from repro.core.ipps import ipps_probabilities
 from repro.core.types import Dataset
 from repro.structures.hierarchy import RadixHierarchy
-
-
-def _aggregate_group(
-    p: np.ndarray,
-    indices: np.ndarray,
-    keys_sorted: np.ndarray,
-    hierarchy: RadixHierarchy,
-    depth: int,
-    rng: np.random.Generator,
-) -> Optional[int]:
-    """Resolve one induced-subtree group, returning its leftover index.
-
-    ``indices`` are positions into the original arrays; ``keys_sorted``
-    are their key values (sorted ascending).  ``depth`` is a depth at
-    which the whole group is known to share a node.
-    """
-    if indices.size == 0:
-        return None
-    if indices.size == 1:
-        idx = int(indices[0])
-        return None if is_set(float(p[idx])) else idx
-    # Contract unary chains: descend to the group's true LCA depth.
-    lca = hierarchy.lca_depth(int(keys_sorted[0]), int(keys_sorted[-1]))
-    depth = max(depth, lca)
-    if depth >= hierarchy.depth:
-        # All keys identical (duplicate leaves): aggregate arbitrarily.
-        return aggregate_pool(p, indices.tolist(), rng)
-    # Split into children at depth+1 (the group is sorted by key, so
-    # children are contiguous runs of equal node ids).
-    child_ids = hierarchy.node_of(keys_sorted, depth + 1)
-    boundaries = np.flatnonzero(np.diff(child_ids)) + 1
-    starts = np.concatenate(([0], boundaries, [indices.size]))
-    leftovers = []
-    for lo, hi in zip(starts[:-1], starts[1:]):
-        leftover = _aggregate_group(
-            p, indices[lo:hi], keys_sorted[lo:hi], hierarchy, depth + 1, rng
-        )
-        if leftover is not None:
-            leftovers.append(leftover)
-    return aggregate_pool(p, leftovers, rng)
 
 
 def aggregate_hierarchy_levels(
@@ -119,18 +73,25 @@ def hierarchy_aware_sample(
     s: float,
     hierarchy: RadixHierarchy,
     rng: np.random.Generator,
-    strict_seed: bool = False,
 ) -> Tuple[np.ndarray, float, np.ndarray]:
     """VarOpt_s sample with node discrepancy < 1 on a hierarchy.
 
     Returns ``(included, tau, probs)`` like
-    :func:`repro.aware.order_sampler.order_aware_sample`.
-    ``strict_seed=True`` keeps the historical recursive aggregation
-    (and its exact RNG stream); the default resolves each hierarchy
-    level with one segmented chain pass.
+    :func:`repro.aware.order_sampler.order_aware_sample`.  Each
+    hierarchy level resolves in one segmented chain pass
+    (:func:`aggregate_hierarchy_levels`).
+
+    Raises
+    ------
+    ValueError
+        If ``keys`` and ``weights`` differ in length, a key lies
+        outside the hierarchy's leaves, or a weight is negative or not
+        finite.
     """
     keys = np.asarray(keys)
     weights = np.asarray(weights, dtype=float)
+    if keys.shape[:1] != weights.shape[:1]:
+        raise ValueError("keys and weights must have matching length")
     if keys.size and (int(keys.min()) < 0 or int(keys.max()) >= hierarchy.num_leaves):
         raise ValueError("keys outside the hierarchy's leaf domain")
     p, tau = ipps_probabilities(weights, s)
@@ -139,19 +100,9 @@ def hierarchy_aware_sample(
     if fractional.size:
         order = np.argsort(keys[fractional], kind="stable")
         idx_sorted = fractional[order]
-        keys_sorted = keys[idx_sorted]
-        if strict_seed:
-            limit = sys.getrecursionlimit()
-            needed = hierarchy.depth + idx_sorted.size + 100
-            if needed > limit:
-                sys.setrecursionlimit(needed)
-            leftover = _aggregate_group(
-                p, idx_sorted, keys_sorted, hierarchy, 0, rng
-            )
-        else:
-            leftover = aggregate_hierarchy_levels(
-                p, idx_sorted, keys_sorted, hierarchy, rng
-            )
+        leftover = aggregate_hierarchy_levels(
+            p, idx_sorted, keys[idx_sorted], hierarchy, rng
+        )
         finalize_leftover(p, leftover, rng)
     return included_indices(p), tau, p_initial
 
@@ -161,13 +112,11 @@ def hierarchy_aware_summary(
     s: float,
     rng: np.random.Generator,
     axis: int = 0,
-    strict_seed: bool = False,
 ) -> SampleSummary:
     """Hierarchy-aware VarOpt summary of a dataset (1-D hierarchy axis)."""
     hierarchy = dataset.domain.hierarchy(axis)
     included, tau, _probs = hierarchy_aware_sample(
-        dataset.axis(axis), dataset.weights, s, hierarchy, rng,
-        strict_seed=strict_seed,
+        dataset.axis(axis), dataset.weights, s, hierarchy, rng
     )
     return SampleSummary(
         coords=dataset.coords[included],

@@ -9,8 +9,8 @@ discrepancy.
 
 Hierarchy axes are cut along their DFS linearization (leaf numbering),
 which is one valid linearization of the hierarchy; the paper allows
-optimizing over all linearizations (Algorithm 2 line 13) -- see
-DESIGN.md for this documented simplification.
+optimizing over all linearizations (Algorithm 2 line 13), a choice
+this implementation leaves out.
 
 The tree doubles as a locator (``locate`` walks a point to its leaf),
 which the two-pass pipeline uses as its partition of the key domain.
@@ -67,10 +67,12 @@ def _presorted_median_cut(
 ) -> Optional[Tuple[int, float]]:
     """Best cut of a presorted axis, or ``None`` if it is constant.
 
-    The single float-op sequence behind both build paths (the scalar
-    recursion sorts per node, the level-synchronous builder maintains
-    presorted orders); keeping it in one place is what guarantees the
-    two paths choose bit-identical splits.
+    Returns ``(split_value, imbalance)`` where left = ``value <=
+    split_value`` and right are both non-empty and the absolute
+    difference of their masses is minimal (Algorithm 2 line 9).  The
+    per-node recursion in ``tests/oracles.py`` runs this same float-op
+    sequence after sorting each node itself, which is what lets
+    ``tests/test_kd.py`` pin the two trees bit for bit.
     """
     if sorted_vals[0] == sorted_vals[-1]:
         return None
@@ -85,42 +87,12 @@ def _presorted_median_cut(
     return split_value, float(imbalance[best])
 
 
-def _weighted_median_split(
-    values: np.ndarray, masses: np.ndarray
-) -> Optional[Tuple[int, float]]:
-    """Best split value on one axis, or ``None`` if the axis is constant.
-
-    Returns ``(split_value, imbalance)`` where left = ``value <=
-    split_value`` is non-empty, right is non-empty, and the absolute
-    difference of the two sides' masses is minimized (Algorithm 2
-    line 9).
-    """
-    order = np.argsort(values, kind="stable")
-    return _presorted_median_cut(values[order], masses[order])
-
-
-def _midpoint_split(
-    values: np.ndarray, box_side: Tuple[int, int]
-) -> Optional[int]:
-    """Dyadic midpoint split of the cell's box side (ablation rule)."""
-    lo, hi = box_side
-    if lo >= hi:
-        return None
-    mid = (lo + hi) // 2
-    has_left = bool((values <= mid).any())
-    has_right = bool((values > mid).any())
-    if not (has_left and has_right):
-        return None
-    return mid
-
-
 def build_kd_hierarchy(
     coords: np.ndarray,
     masses: np.ndarray,
     domain: Optional[ProductDomain] = None,
     leaf_mass: float = 1.0,
     split_rule: str = "median",
-    scalar: bool = False,
 ) -> KDNode:
     """Build the KD-HIERARCHY over a weighted point set.
 
@@ -141,13 +113,6 @@ def build_kd_hierarchy(
         points.
     split_rule:
         ``"median"`` (Algorithm 2) or ``"midpoint"`` (ablation).
-    scalar:
-        ``True`` runs the historical per-node recursion; the default
-        runs the level-synchronous presorted builder, which produces a
-        bit-identical tree (same splits, same masses, same cell ids)
-        without the per-node ``argsort`` -- callers with a
-        ``strict_seed`` flag route it here so the historical code path
-        itself stays reachable.
 
     Returns
     -------
@@ -162,63 +127,9 @@ def build_kd_hierarchy(
         raise ValueError(f"unknown split rule: {split_rule}")
     if split_rule == "midpoint" and domain is None:
         raise ValueError("midpoint splitting requires a domain")
-    if scalar:
-        return _build_kd_scalar(coords, masses, domain, leaf_mass, split_rule)
     return _build_kd_level_synchronous(
         coords, masses, domain, leaf_mass, split_rule
     )
-
-
-def _build_kd_scalar(
-    coords: np.ndarray,
-    masses: np.ndarray,
-    domain: Optional[ProductDomain],
-    leaf_mass: float,
-    split_rule: str,
-) -> KDNode:
-    """The historical per-node recursion (one argsort per split try)."""
-    dims = coords.shape[1]
-    root_box = domain.full_box() if domain is not None else None
-    root = KDNode(mass=float(masses.sum()), box=root_box)
-    next_cell_id = 0
-    stack: List[Tuple[KDNode, np.ndarray, int]] = [
-        (root, np.arange(coords.shape[0]), 0)
-    ]
-    while stack:
-        node, indices, depth = stack.pop()
-        node.mass = float(masses[indices].sum())
-        if node.mass <= leaf_mass or indices.size <= 1:
-            node.indices = indices
-            node.cell_id = next_cell_id
-            next_cell_id += 1
-            continue
-        split = _choose_split(
-            coords, masses, indices, depth, dims, node.box, split_rule
-        )
-        if split is None:
-            # Every axis is constant on this cell: duplicate points.
-            node.indices = indices
-            node.cell_id = next_cell_id
-            next_cell_id += 1
-            continue
-        axis, split_value = split
-        node.axis = axis
-        node.split_value = split_value
-        left_mask = coords[indices, axis] <= split_value
-        left_idx = indices[left_mask]
-        right_idx = indices[~left_mask]
-        left_box = right_box = None
-        if node.box is not None:
-            lo, hi = node.box.side(axis)
-            if lo <= split_value < hi:
-                left_box, right_box = node.box.split(axis, split_value)
-            else:  # degenerate box side; children inherit the box
-                left_box = right_box = node.box
-        node.left = KDNode(mass=0.0, box=left_box)
-        node.right = KDNode(mass=0.0, box=right_box)
-        stack.append((node.left, left_idx, depth + 1))
-        stack.append((node.right, right_idx, depth + 1))
-    return root
 
 
 def _build_kd_level_synchronous(
@@ -228,19 +139,20 @@ def _build_kd_level_synchronous(
     leaf_mass: float,
     split_rule: str,
 ) -> KDNode:
-    """Level-synchronous presorted kd build (bit-identical to scalar).
+    """Level-synchronous presorted kd build.
 
     Each axis is stable-argsorted *once*; every split thereafter only
     stable-partitions the per-axis orders with boolean masks, so a
     node's values arrive at its split already sorted (stable
     partitioning preserves relative order, and the initial stable sort
-    breaks ties by row -- the exact permutation the scalar path's
-    per-node ``argsort(values, kind="stable")`` produces).  All nodes
-    of one depth are processed per sweep; per-node sums/cumsums run on
-    the same gathered arrays in the same order as the scalar path, so
-    masses, split choices and the resulting tree are bit-identical.
-    Cell ids are assigned by replaying the scalar stack order over the
-    finished tree.
+    breaks ties by row -- the exact permutation a per-node
+    ``argsort(values, kind="stable")`` produces).  All nodes of one
+    depth are processed per sweep; per-node sums and cumsums run on
+    the same gathered arrays in the same order as the per-node
+    recursion of Algorithm 2 (the oracle in ``tests/oracles.py``), so
+    masses, split choices and the resulting tree are bit-identical to
+    it.  Cell ids are assigned by replaying the recursion's stack
+    order over the finished tree.
     """
     n, dims = coords.shape
     root_box = domain.full_box() if domain is not None else None
@@ -315,7 +227,7 @@ def _build_kd_level_synchronous(
             next_level.append((node.right, start + n_left, end))
         level = next_level
         depth += 1
-    # Cell ids in the scalar pop order (right child explored first).
+    # Cell ids in the recursion's pop order (right child explored first).
     next_cell_id = 0
     stack = [root]
     while stack:
@@ -327,22 +239,6 @@ def _build_kd_level_synchronous(
             stack.append(node.left)
             stack.append(node.right)
     return root
-
-
-def _choose_split(coords, masses, indices, depth, dims, box, split_rule):
-    """Pick the split axis/value, cycling axes from ``depth % dims``."""
-    for offset in range(dims):
-        axis = (depth + offset) % dims
-        values = coords[indices, axis]
-        if split_rule == "midpoint":
-            mid = _midpoint_split(values, box.side(axis))
-            if mid is not None:
-                return axis, mid
-            continue
-        result = _weighted_median_split(values, masses[indices])
-        if result is not None:
-            return axis, result[0]
-    return None
 
 
 def kd_leaves(root: KDNode) -> List[KDNode]:

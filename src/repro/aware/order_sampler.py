@@ -12,15 +12,11 @@ hierarchy, and guarantees:
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from repro.core.aggregation import (
-    aggregate_pool,
-    finalize_leftover,
-    included_indices,
-)
+from repro.core.aggregation import finalize_leftover, included_indices
 from repro.core.chain import chain_aggregate
 from repro.core.estimator import SampleSummary
 from repro.core.ipps import ipps_probabilities
@@ -32,7 +28,6 @@ def order_aware_sample(
     weights: np.ndarray,
     s: float,
     rng: np.random.Generator,
-    strict_seed: bool = False,
 ) -> Tuple[np.ndarray, float, np.ndarray]:
     """VarOpt_s sample with interval discrepancy < 2.
 
@@ -54,18 +49,22 @@ def order_aware_sample(
         Indices (into the input arrays) of the sampled keys, the IPPS
         threshold, and the original IPPS probability vector (useful for
         discrepancy measurement).
+
+    Raises
+    ------
+    ValueError
+        If ``keys`` and ``weights`` differ in length, or a weight is
+        negative or not finite.
     """
     keys = np.asarray(keys)
     weights = np.asarray(weights, dtype=float)
+    if keys.shape[:1] != weights.shape[:1]:
+        raise ValueError("keys and weights must have matching length")
     p, tau = ipps_probabilities(weights, s)
     p_initial = p.copy()
     order = np.argsort(keys, kind="stable")
-    if strict_seed:
-        fractional = [int(i) for i in order if 0.0 < p[i] < 1.0]
-        leftover = aggregate_pool(p, fractional, rng)
-    else:
-        pool = order[(p[order] > 0.0) & (p[order] < 1.0)]
-        leftover = chain_aggregate(p, pool, rng)
+    pool = order[(p[order] > 0.0) & (p[order] < 1.0)]
+    leftover = chain_aggregate(p, pool, rng)
     finalize_leftover(p, leftover, rng)
     return included_indices(p), tau, p_initial
 
@@ -74,13 +73,10 @@ def order_aware_summary(
     dataset: Dataset,
     s: float,
     rng: np.random.Generator,
-    strict_seed: bool = False,
 ) -> SampleSummary:
     """Order-aware VarOpt summary of a 1-D dataset."""
     keys = dataset.keys_1d()
-    included, tau, _probs = order_aware_sample(
-        keys, dataset.weights, s, rng, strict_seed=strict_seed
-    )
+    included, tau, _probs = order_aware_sample(keys, dataset.weights, s, rng)
     return SampleSummary(
         coords=dataset.coords[included],
         weights=dataset.weights[included],

@@ -30,26 +30,24 @@ from repro.core.types import Dataset
 
 def fold_kd_leftovers(
     root: KDNode,
-    leaf_leftover,
+    leaf_leftovers: np.ndarray,
     p: np.ndarray,
     rng: np.random.Generator,
 ) -> Optional[int]:
-    """Bottom-up leftover aggregation over a kd-tree (shared walk).
+    """Bottom-up leftover aggregation over a kd-tree, children first.
 
-    Post-order traversal with an explicit stack: every leaf is
-    resolved by ``leaf_leftover(leaf) -> Optional[int]`` at visit time
-    (so scalar leaf pools consume the generator in the historical walk
-    order), and every internal node pair-aggregates its children's
-    surviving leftovers.  Returns the final leftover index into ``p``
-    (or None).  The single walk behind :func:`_aggregate_kd`, the
-    batched variant and the two-pass final phase.
+    ``leaf_leftovers[cell_id]`` is each leaf's resolved leftover index
+    into ``p`` (``-1`` for none).  A post-order walk with an explicit
+    stack pair-aggregates every internal node's surviving child
+    leftovers.  Returns the final leftover index into ``p`` (or None).
     """
     stack = [(root, False)]
     leftover_of = {}
     while stack:
         current, visited = stack.pop()
         if current.is_leaf:
-            leftover_of[id(current)] = leaf_leftover(current)
+            leftover = int(leaf_leftovers[current.cell_id])
+            leftover_of[id(current)] = None if leftover < 0 else leftover
             continue
         if not visited:
             stack.append((current, True))
@@ -65,50 +63,26 @@ def fold_kd_leftovers(
     return leftover_of.pop(id(root), None)
 
 
-def _aggregate_kd(
-    node: KDNode,
-    p: np.ndarray,
-    index_map: np.ndarray,
-    rng: np.random.Generator,
-) -> Optional[int]:
-    """Scalar bottom-up aggregation: leaf pools resolve in walk order.
-
-    ``index_map`` translates the kd-tree's local point indices to
-    positions in the probability vector ``p``.
-    """
-    def leaf_leftover(leaf: KDNode) -> Optional[int]:
-        pool = [int(index_map[i]) for i in leaf.indices]
-        return aggregate_pool(p, pool, rng)
-
-    return fold_kd_leftovers(node, leaf_leftover, p, rng)
-
-
 def _aggregate_kd_batched(
     node: KDNode,
     p: np.ndarray,
     index_map: np.ndarray,
     rng: np.random.Generator,
 ) -> Optional[int]:
-    """Leaf-batched variant of :func:`_aggregate_kd`.
+    """Leaf-batched bottom-up aggregation over a kd-tree.
 
     All leaf pools -- the O(n) bulk of the work -- resolve in one
-    segmented chain pass; the remaining bottom-up walk only
-    pair-aggregates the O(#nodes) per-child leftovers.  Same pair
-    structure (children resolve before parents), different RNG
-    consumption order than the scalar walk.
+    segmented chain pass; the bottom-up walk then only pair-aggregates
+    the O(#nodes) per-child leftovers.  ``index_map`` translates the
+    tree's local point indices to positions in the probability vector
+    ``p``.
     """
     leaves = kd_leaves(node)
     sizes = np.asarray([leaf.indices.size for leaf in leaves], dtype=np.int64)
     pool = index_map[np.concatenate([leaf.indices for leaf in leaves])]
     starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
     leftovers = segmented_chain_aggregate(p, pool, starts, rng)
-    resolved = {
-        id(leaf): (None if leftovers[i] < 0 else int(leftovers[i]))
-        for i, leaf in enumerate(leaves)
-    }
-    return fold_kd_leftovers(
-        node, lambda leaf: resolved[id(leaf)], p, rng
-    )
+    return fold_kd_leftovers(node, leftovers, p, rng)
 
 
 def product_aware_sample(
@@ -119,18 +93,23 @@ def product_aware_sample(
     domain=None,
     leaf_mass: float = 1.0,
     split_rule: str = "median",
-    strict_seed: bool = False,
 ) -> Tuple[np.ndarray, float, np.ndarray]:
     """VarOpt_s sample of d-dimensional keys with box-aware aggregation.
 
     Returns ``(included, tau, probs)`` as in the 1-D aware samplers.
     ``leaf_mass`` and ``split_rule`` are forwarded to
     :func:`repro.aware.kd.build_kd_hierarchy` (exposed for ablations).
-    ``strict_seed=True`` keeps the historical scalar tree walk (and
-    its exact RNG stream).
+
+    Raises
+    ------
+    ValueError
+        If ``coords`` and ``weights`` differ in length, or a weight is
+        negative or not finite.
     """
     coords = np.atleast_2d(np.asarray(coords))
     weights = np.asarray(weights, dtype=float)
+    if coords.shape[0] != weights.shape[0]:
+        raise ValueError("coords and weights must have matching length")
     p, tau = ipps_probabilities(weights, s)
     p_initial = p.copy()
     fractional = np.flatnonzero((p > 0.0) & (p < 1.0))
@@ -141,10 +120,8 @@ def product_aware_sample(
             domain=domain,
             leaf_mass=leaf_mass,
             split_rule=split_rule,
-            scalar=strict_seed,
         )
-        aggregate = _aggregate_kd if strict_seed else _aggregate_kd_batched
-        leftover = aggregate(tree, p, fractional, rng)
+        leftover = _aggregate_kd_batched(tree, p, fractional, rng)
         finalize_leftover(p, leftover, rng)
     return included_indices(p), tau, p_initial
 
@@ -155,7 +132,6 @@ def product_aware_summary(
     rng: np.random.Generator,
     leaf_mass: float = 1.0,
     split_rule: str = "median",
-    strict_seed: bool = False,
 ) -> SampleSummary:
     """Product-structure aware VarOpt summary of a dataset.
 
@@ -170,7 +146,6 @@ def product_aware_summary(
         domain=dataset.domain,
         leaf_mass=leaf_mass,
         split_rule=split_rule,
-        strict_seed=strict_seed,
     )
     return SampleSummary(
         coords=dataset.coords[included],

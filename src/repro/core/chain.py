@@ -25,10 +25,10 @@ scalar loop (paper Algorithm 1) -- every guarantee that holds per pair
 the discrepancy bounds) holds here step for step.  They are *not*
 bit-for-bit identical to the scalar loop: the running total is
 accumulated in a different floating-point association and the uniforms
-are consumed in one block, so seeded runs diverge.  Callers that need
-the historical scalar stream keep it behind their ``strict_seed``
-flag; equivalence of the two paths is validated statistically in
-``tests/test_kernel_equivalence.py``.
+are consumed in one block, so seeded runs diverge.  The scalar walks
+live on only as test oracles (``tests/oracles.py``), and
+``tests/test_kernel_equivalence.py`` checks statistically that both
+realize the same distribution.
 """
 
 from __future__ import annotations

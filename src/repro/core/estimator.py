@@ -14,11 +14,7 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.aggregation import (
-    aggregate_pool,
-    finalize_leftover,
-    included_indices,
-)
+from repro.core.aggregation import finalize_leftover, included_indices
 from repro.core.chain import chain_aggregate
 from repro.core.ipps import ipps_threshold
 from repro.structures.ranges import (
@@ -126,7 +122,6 @@ class SampleSummary:
         other: "SampleSummary",
         s: Optional[int] = None,
         rng: Optional[np.random.Generator] = None,
-        strict_seed: bool = False,
     ) -> "SampleSummary":
         """Merge with an IPPS/VarOpt sample of a *disjoint* shard.
 
@@ -174,11 +169,6 @@ class SampleSummary:
         rng:
             Randomness for the pair aggregations; a fresh default
             generator is used when omitted.
-        strict_seed:
-            ``True`` runs the historical scalar pair-aggregation loop
-            (bit-compatible RNG stream with earlier releases); the
-            default runs the vectorized chain kernel, same
-            distribution with a different RNG consumption order.
         """
         if not isinstance(other, SampleSummary):
             raise TypeError(
@@ -199,7 +189,7 @@ class SampleSummary:
                     weights=base.weights.copy(),
                     tau=base.tau,
                 )
-            return base.downsample(s, rng, strict_seed=strict_seed)
+            return base.downsample(s, rng)
         if s is None:
             s = max(self.size, other.size)
         coords = np.concatenate((self.coords, other.coords), axis=0)
@@ -207,15 +197,12 @@ class SampleSummary:
             (self.adjusted_weights, other.adjusted_weights)
         )
         tau_floor = max(self.tau, other.tau)
-        return _reaggregate(
-            coords, adjusted, tau_floor, s, rng, strict_seed=strict_seed
-        )
+        return _reaggregate(coords, adjusted, tau_floor, s, rng)
 
     def downsample(
         self,
         s: int,
         rng: Optional[np.random.Generator] = None,
-        strict_seed: bool = False,
     ) -> "SampleSummary":
         """Re-aggregate this sample down to at most ``s`` keys.
 
@@ -231,8 +218,7 @@ class SampleSummary:
                 tau=self.tau,
             )
         return _reaggregate(
-            self.coords, self.adjusted_weights, self.tau, s, rng,
-            strict_seed=strict_seed,
+            self.coords, self.adjusted_weights, self.tau, s, rng
         )
 
     @classmethod
@@ -420,7 +406,6 @@ def _reaggregate(
     tau_floor: float,
     s: int,
     rng: Optional[np.random.Generator],
-    strict_seed: bool = False,
 ) -> SampleSummary:
     """Second-stage IPPS/VarOpt pair aggregation over adjusted weights.
 
@@ -440,10 +425,7 @@ def _reaggregate(
     p = np.minimum(1.0, adjusted / tau_star)
     fractional = np.flatnonzero((p > 0.0) & (p < 1.0))
     pool = fractional[rng.permutation(fractional.size)]
-    if strict_seed:
-        leftover = aggregate_pool(p, pool.tolist(), rng)
-    else:
-        leftover = chain_aggregate(p, pool, rng)
+    leftover = chain_aggregate(p, pool, rng)
     finalize_leftover(p, leftover, rng)
     included = included_indices(p)
     return SampleSummary(

@@ -7,6 +7,7 @@ the threshold ``tau_s`` solves ``sum_i min(1, w_i / tau_s) = s``
 
 * :func:`ipps_threshold` -- exact offline solver.
 * :func:`ipps_probabilities` -- the probability vector for a target size.
+* :func:`check_weights` -- the weight contract every entry point checks.
 * :class:`StreamingThreshold` -- the paper's Algorithm 4: one-pass exact
   computation of ``tau_s`` using a size-``s`` min-heap.
 """
@@ -20,6 +21,18 @@ import numpy as np
 
 #: Relative tolerance used throughout when comparing probabilities to 0/1.
 PROB_EPS = 1e-12
+
+
+def check_weights(weights: np.ndarray) -> None:
+    """Raise ``ValueError`` unless every weight is finite and >= 0.
+
+    ``weights.min() < 0`` alone would let NaN through (every
+    comparison with NaN is false), so finiteness is checked first.
+    """
+    if weights.size and not (
+        np.isfinite(weights).all() and float(weights.min()) >= 0.0
+    ):
+        raise ValueError("weights must be finite and non-negative")
 
 
 def ipps_threshold(weights: np.ndarray, s: float) -> float:
@@ -73,8 +86,15 @@ def ipps_probabilities(weights: np.ndarray, s: float) -> Tuple[np.ndarray, float
     Returns ``(p, tau)`` where ``p_i = min(1, w_i / tau)`` (and
     ``p_i = 1`` for every positive-weight key when ``tau == 0``).
     ``sum(p)`` equals ``min(s, #positive keys)`` up to float error.
+
+    Raises
+    ------
+    ValueError
+        If a weight is negative or not finite (see
+        :func:`check_weights`), or ``s <= 0``.
     """
     w = np.asarray(weights, dtype=float)
+    check_weights(w)
     tau = ipps_threshold(w, s)
     if tau == 0.0:
         return (w > 0).astype(float), 0.0

@@ -14,6 +14,7 @@ from typing import Iterable, Iterator, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.ipps import check_weights
 from repro.structures.product import ProductDomain, line_domain
 
 
@@ -26,7 +27,7 @@ class Dataset:
     coords:
         ``(n, d)`` integer array; row i is key i's coordinates.
     weights:
-        ``(n,)`` non-negative float array.
+        ``(n,)`` finite, non-negative float array.
     domain:
         The product domain the keys live in.
     """
@@ -51,8 +52,7 @@ class Dataset:
         )
         if self.coords.shape[0] != self.weights.shape[0]:
             raise ValueError("coords and weights must have matching length")
-        if self.weights.size and float(self.weights.min()) < 0:
-            raise ValueError("weights must be non-negative")
+        check_weights(self.weights)
         self.domain.validate_coords(self.coords)
 
     @classmethod
@@ -109,9 +109,8 @@ class Dataset:
     def iter_items(self) -> Iterator[Tuple[Tuple[int, ...], float]]:
         """Yield ``(key_tuple, weight)`` pairs, in storage order.
 
-        This is the streaming interface used by the two-pass algorithms:
-        they read the data via this iterator only, never by random
-        access.
+        The item-at-a-time stream the paper's one-pass algorithms read
+        (never by random access).
         """
         for row, weight in zip(self.coords, self.weights):
             yield tuple(int(x) for x in row), float(weight)

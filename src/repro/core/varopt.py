@@ -20,11 +20,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.aggregation import (
-    aggregate_pool,
-    finalize_leftover,
-    included_indices,
-)
+from repro.core.aggregation import finalize_leftover, included_indices
 from repro.core.chain import chain_aggregate
 from repro.core.estimator import SampleSummary
 from repro.core.ipps import ipps_probabilities
@@ -37,30 +33,21 @@ def varopt_sample(
     s: float,
     rng: np.random.Generator,
     order: Optional[np.ndarray] = None,
-    strict_seed: bool = False,
 ) -> Tuple[np.ndarray, float]:
     """Offline VarOpt_s sample of a weight vector.
 
     Returns ``(included_indices, tau)``.  ``order`` fixes the pair
     aggregation order over the fractional entries; by default a random
     permutation is used, which makes the sample structure-oblivious.
-
-    ``strict_seed=True`` runs the historical scalar pair-aggregation
-    loop (bit-compatible with earlier releases for a fixed seed);
-    the default runs the vectorized chain kernel
-    (:func:`repro.core.chain.chain_aggregate`), which realizes the same
-    distribution with a different RNG consumption order.
+    The pairs are aggregated by the vectorized chain kernel
+    (:func:`repro.core.chain.chain_aggregate`).
     """
     w = np.asarray(weights, dtype=float)
     p, tau = ipps_probabilities(w, s)
     fractional = np.flatnonzero((p > 0.0) & (p < 1.0))
     if order is None:
         order = rng.permutation(fractional.size)
-    pool = fractional[order]
-    if strict_seed:
-        leftover = aggregate_pool(p, pool.tolist(), rng)
-    else:
-        leftover = chain_aggregate(p, pool, rng)
+    leftover = chain_aggregate(p, fractional[order], rng)
     finalize_leftover(p, leftover, rng)
     return included_indices(p), tau
 
@@ -69,12 +56,9 @@ def varopt_summary(
     dataset: Dataset,
     s: float,
     rng: np.random.Generator,
-    strict_seed: bool = False,
 ) -> SampleSummary:
     """Offline structure-oblivious VarOpt summary of a dataset."""
-    included, tau = varopt_sample(
-        dataset.weights, s, rng, strict_seed=strict_seed
-    )
+    included, tau = varopt_sample(dataset.weights, s, rng)
     return SampleSummary(
         coords=dataset.coords[included],
         weights=dataset.weights[included],
@@ -395,20 +379,13 @@ def stream_varopt_summary(
     dataset: Dataset,
     s: int,
     rng: np.random.Generator,
-    strict_seed: bool = False,
 ) -> SampleSummary:
     """One-pass structure-oblivious VarOpt summary of a dataset.
 
-    The default replays the dataset through the reservoir's vectorized
-    bulk feed (:meth:`StreamVarOpt.update`), which realizes the same
-    per-item accept/evict distribution as the per-item loop;
-    ``strict_seed=True`` keeps the historical item-at-a-time feed (and
-    its exact RNG stream).
+    Replays the dataset through the reservoir's vectorized bulk feed
+    (:meth:`StreamVarOpt.update`), which realizes the same per-item
+    accept/evict distribution as feeding the items one at a time.
     """
     sampler = StreamVarOpt(s, rng)
-    if strict_seed:
-        for key, weight in dataset.iter_items():
-            sampler.feed(key, weight)
-    else:
-        sampler.update(dataset.coords, dataset.weights)
+    sampler.update(dataset.coords, dataset.weights)
     return sampler.summary()

@@ -1,4 +1,9 @@
-"""Synthetic data and query workload generation (see DESIGN.md §5)."""
+"""Synthetic data and query workload generation.
+
+The paper's proprietary network and ticket data sets (Section 6.1) are
+replaced by seeded synthetic equivalents with the same heavy-tailed
+shape.
+"""
 
 from repro.datagen.distributions import (
     pareto_weights,

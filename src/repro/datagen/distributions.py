@@ -1,8 +1,8 @@
 """Weight and popularity distributions for the synthetic generators.
 
 The proprietary data sets of Section 6.1 are replaced by synthetic
-equivalents (DESIGN.md Section 5).  Both real workloads are heavy
-tailed; these helpers provide seeded Pareto weights and Zipf
+equivalents (``network.py`` and ``tickets.py``).  Both real workloads
+are heavy tailed; these helpers provide seeded Pareto weights and Zipf
 popularities with the standard shapes used in the networking and
 database literature.
 """

@@ -6,7 +6,7 @@ whose series mirror the plotted lines.  Scale parameters default to
 laptop-friendly values; pass larger configs to approach the paper's
 full scale.  Absolute numbers differ from the paper's (our substrate is
 synthetic data and pure Python); the *shapes* -- who wins and by what
-factor -- are what EXPERIMENTS.md records.
+factor -- are what the reproduction is about.
 """
 
 from __future__ import annotations

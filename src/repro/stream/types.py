@@ -13,6 +13,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.core.ipps import check_weights
 from repro.summaries.base import coerce_batch
 
 
@@ -25,7 +26,9 @@ class MicroBatch:
     coords:
         ``(n, d)`` integer coordinates of the batch's keys.
     weights:
-        ``(n,)`` non-negative weights.
+        ``(n,)`` finite, non-negative weights.  A batch that breaks
+        this is rejected at construction, before an engine can log it
+        to a write-ahead log that would then fail on every replay.
     timestamp:
         Event time of the batch (its latest event), used for window
         assignment.  ``None`` means "no event time": the engine falls
@@ -47,6 +50,7 @@ class MicroBatch:
 
     def __post_init__(self):
         coords, weights = coerce_batch(self.coords, self.weights)
+        check_weights(weights)
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "weights", weights)
         if self.timestamps is not None:

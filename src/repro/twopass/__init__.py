@@ -20,7 +20,6 @@ from repro.twopass.partitions import (
     HierarchyAncestorPartition,
     DisjointPartition,
 )
-from repro.twopass.io_aggregate import IOAggregator
 from repro.twopass.two_pass import TwoPassSampler, two_pass_summary
 
 __all__ = [
@@ -28,7 +27,6 @@ __all__ = [
     "KDPartition",
     "HierarchyAncestorPartition",
     "DisjointPartition",
-    "IOAggregator",
     "TwoPassSampler",
     "two_pass_summary",
 ]

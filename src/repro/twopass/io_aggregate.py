@@ -1,4 +1,4 @@
-"""IO-AGGREGATE (paper Algorithm 3): streaming per-cell pair aggregation.
+"""IO-AGGREGATE (paper Algorithm 3): per-cell pair aggregation.
 
 Pass 2 of the two-pass pipeline.  Each incoming key either enters the
 sample directly (IPPS probability one), becomes its cell's active key,
@@ -8,15 +8,12 @@ record per cell plus the growing sample: O(s + |L|).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, List, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from repro.core.aggregation import SET_EPS, pair_aggregate_values
+from repro.core.aggregation import SET_EPS
 from repro.core.chain import run_starts, segmented_chain_aggregate
-
-#: An in-flight record: (key tuple, original weight, current probability).
-Record = Tuple[Tuple[int, ...], float, float]
 
 
 def aggregate_cells(
@@ -27,11 +24,12 @@ def aggregate_cells(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Batched IO-AGGREGATE over pre-routed light records.
 
-    The vectorized counterpart of feeding every light key through
-    :meth:`IOAggregator.process`: per cell, incoming keys
-    pair-aggregate with the cell's running active record, which is
-    exactly one aggregation chain per cell
-    (:func:`repro.core.chain.segmented_chain_aggregate`).
+    Algorithm 3 feeds the keys one at a time: per cell, each incoming
+    key pair-aggregates with the cell's running active record.  That
+    is exactly one aggregation chain per cell, so all cells resolve in
+    one :func:`repro.core.chain.segmented_chain_aggregate` pass.  The
+    per-item loop lives on as the ``IOAggregator`` oracle in
+    ``tests/oracles.py``.
 
     Parameters
     ----------
@@ -70,93 +68,3 @@ def aggregate_cells(
         active_probs[fractional],
         codes[starts][resolved][fractional],
     )
-
-
-class IOAggregator:
-    """Streaming pair aggregation guided by a partition of the domain.
-
-    Parameters
-    ----------
-    tau:
-        The IPPS threshold for the target sample size (from pass 1).
-        ``tau == 0`` means every positive-weight key is sampled exactly.
-    cell_of:
-        Maps a key tuple to a hashable cell identifier.
-    rng:
-        Randomness source.
-    """
-
-    def __init__(
-        self,
-        tau: float,
-        cell_of: Callable[[Tuple[int, ...]], Hashable],
-        rng: np.random.Generator,
-    ):
-        if tau < 0:
-            raise ValueError("tau must be non-negative")
-        self._tau = float(tau)
-        self._cell_of = cell_of
-        self._rng = rng
-        self._active: Dict[Hashable, Record] = {}
-        self._sample: List[Tuple[Tuple[int, ...], float]] = []
-        self._mass_in = 0.0  # total probability mass fed (for invariants)
-
-    @property
-    def tau(self) -> float:
-        """The IPPS threshold in use."""
-        return self._tau
-
-    @property
-    def sample(self) -> List[Tuple[Tuple[int, ...], float]]:
-        """Keys already committed to the sample (probability one)."""
-        return self._sample
-
-    @property
-    def active_count(self) -> int:
-        """Number of cells currently holding an active fractional key."""
-        return len(self._active)
-
-    def probability_of(self, weight: float) -> float:
-        """IPPS inclusion probability of a weight under the threshold."""
-        if weight <= 0:
-            return 0.0
-        if self._tau == 0.0:
-            return 1.0
-        return min(1.0, weight / self._tau)
-
-    def process(self, key: Tuple[int, ...], weight: float) -> None:
-        """Process one stream item (Algorithm 3 body)."""
-        p = self.probability_of(weight)
-        if p == 0.0:
-            return
-        self._mass_in += p
-        if p >= 1.0 - SET_EPS:
-            self._sample.append((key, weight))
-            return
-        cell = self._cell_of(key)
-        resident = self._active.get(cell)
-        if resident is None:
-            self._active[cell] = (key, weight, p)
-            return
-        res_key, res_weight, res_p = resident
-        new_res_p, new_p = pair_aggregate_values(res_p, p, self._rng)
-        del self._active[cell]
-        for rec_key, rec_weight, rec_p in (
-            (res_key, res_weight, new_res_p),
-            (key, weight, new_p),
-        ):
-            if rec_p >= 1.0 - SET_EPS:
-                self._sample.append((rec_key, rec_weight))
-            elif rec_p > SET_EPS:
-                self._active[cell] = (rec_key, rec_weight, rec_p)
-
-    def active_records(self) -> List[Record]:
-        """The surviving active keys (for the final aggregation phase)."""
-        return list(self._active.values())
-
-    def conservation_error(self) -> float:
-        """|mass in - (committed + active)|: should be ~0 at all times."""
-        mass_out = float(len(self._sample)) + sum(
-            rec[2] for rec in self._active.values()
-        )
-        return abs(self._mass_in - mass_out)

@@ -1,8 +1,9 @@
 """Partitions of the key domain induced by the pass-1 guide sample.
 
-Each partition exposes ``cell_of(key) -> hashable`` used by
-IO-AGGREGATE to co-locate nearby keys, and enough structure for the
-final aggregation of active keys.  With a guide sample of size
+Each partition maps keys to cells so IO-AGGREGATE can co-locate
+nearby keys -- ``cell_codes(coords)`` for a whole batch, ``cell_of(key)``
+for one key -- and keeps enough structure for the final aggregation of
+active keys.  With a guide sample of size
 Omega(s log s), every cell has probability mass <= 1 w.h.p. (it is an
 eps-net of the range space), which is what bounds the two-pass
 discrepancy.
@@ -61,7 +62,6 @@ class KDPartition:
         guide_probs: np.ndarray,
         domain: Optional[ProductDomain] = None,
         split_rule: str = "median",
-        strict_seed: bool = False,
     ):
         guide_coords = np.atleast_2d(np.asarray(guide_coords))
         if guide_coords.shape[0] == 0:
@@ -72,7 +72,6 @@ class KDPartition:
             domain=domain,
             leaf_mass=1.0,
             split_rule=split_rule,
-            scalar=strict_seed,
         )
 
     def cell_of(self, key: Tuple[int, ...]) -> int:
@@ -207,8 +206,7 @@ class DisjointPartition:
             rows = np.asarray(coords)
             if rows.ndim == 1:
                 rows = rows.reshape(-1, 1)
-            # Native-int key tuples, exactly what the scalar path's
-            # Dataset.iter_items hands the labeler.
+            # Native-int key tuples, what Dataset.iter_items yields.
             values = np.asarray(
                 [
                     int(self._labeler(tuple(int(x) for x in row)))

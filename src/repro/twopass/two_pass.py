@@ -11,57 +11,32 @@ the main-memory algorithms w.h.p.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro import obs as _obs
 from repro.aware.hierarchy_sampler import aggregate_hierarchy_levels
 from repro.aware.kd import KDNode
-from repro.aware.product_sampler import fold_kd_leftovers
 from repro.core.aggregation import (
     SET_EPS,
-    aggregate_pool,
     finalize_leftover,
     included_indices,
     is_set,
 )
 from repro.core.chain import chain_aggregate, segmented_chain_aggregate
 from repro.core.estimator import SampleSummary
-from repro.core.ipps import StreamingThreshold, ipps_threshold
+from repro.core.ipps import ipps_threshold
 from repro.core.types import Dataset
-from repro.core.varopt import StreamVarOpt, varopt_sample
-from repro.structures.hierarchy import RadixHierarchy
+from repro.core.varopt import varopt_sample
 from repro.structures.order import OrderedDomain
-from repro.twopass.io_aggregate import IOAggregator, Record, aggregate_cells
+from repro.twopass.io_aggregate import aggregate_cells
 from repro.twopass.partitions import (
+    DisjointPartition,
     HierarchyAncestorPartition,
     KDPartition,
     OrderPartition,
 )
-
-
-def _aggregate_tree_cells(
-    root: KDNode,
-    cell_to_index: dict,
-    p: np.ndarray,
-    rng: np.random.Generator,
-) -> Optional[int]:
-    """Bottom-up aggregation of one record per kd cell (final phase).
-
-    Each leaf holds at most one active record; the shared kd walk
-    (:func:`repro.aware.product_sampler.fold_kd_leftovers`)
-    pair-aggregates them up the partition tree.  This is the
-    historical scalar walk (``strict_seed=True``); the batched
-    pipeline uses :func:`_aggregate_tree_cells_batched`.
-    """
-    def leaf_leftover(leaf: KDNode) -> Optional[int]:
-        idx = cell_to_index.get(leaf.cell_id)
-        if idx is None or is_set(float(p[idx])):
-            return None
-        return idx
-
-    return fold_kd_leftovers(root, leaf_leftover, p, rng)
 
 
 def _aggregate_tree_cells_batched(
@@ -72,16 +47,14 @@ def _aggregate_tree_cells_batched(
 ) -> Optional[int]:
     """Level-batched bottom-up aggregation of one record per kd cell.
 
-    Same pair structure as :func:`_aggregate_tree_cells` -- every
-    internal node pair-aggregates its two children's surviving
-    leftovers, children before parents -- but all internal nodes of one
+    Every internal node pair-aggregates its two children's surviving
+    leftovers, children before parents, and all internal nodes of one
     depth resolve in a *single*
     :func:`~repro.core.chain.segmented_chain_aggregate` call (their
     pools are independent two-entry segments), so the walk costs one
-    kernel call per tree level instead of one ``aggregate_pool`` per
-    node.  The distribution is identical; only the RNG consumption
-    order differs from the scalar walk, which the ``strict_seed`` path
-    keeps.
+    kernel call per tree level instead of one pair aggregation per
+    node.  The distribution is that of the per-node walk (the oracle
+    in ``tests/oracles.py``); only the RNG consumption order differs.
     """
     by_depth: List[List[KDNode]] = []
     stack: List[Tuple[KDNode, int]] = [(root, 0)]
@@ -122,19 +95,6 @@ def _aggregate_tree_cells_batched(
     return leftover_of.get(id(root))
 
 
-def _aggregate_hierarchy_records(
-    keys: np.ndarray,
-    p: np.ndarray,
-    hierarchy: RadixHierarchy,
-    rng: np.random.Generator,
-) -> Optional[int]:
-    """Final-phase aggregation of active records along a hierarchy."""
-    from repro.aware.hierarchy_sampler import _aggregate_group
-
-    order = np.argsort(keys, kind="stable")
-    return _aggregate_group(p, order, keys[order], hierarchy, 0, rng)
-
-
 class TwoPassSampler:
     """I/O-efficient structure-aware VarOpt sampler.
 
@@ -160,12 +120,11 @@ class TwoPassSampler:
         Required when ``partition="disjoint"``: a function mapping a key
         tuple to its integer range label (the flat partition the range
         family consists of).
-    strict_seed:
-        ``True`` runs the historical item-at-a-time passes
-        (bit-compatible RNG stream with earlier releases); the default
-        batched pipeline vectorizes the threshold computation, the
-        guide-sample feed, the cell routing and the per-cell
-        aggregation, realizing the same sampling distribution.
+
+    Both passes run as NumPy kernels: the threshold computation, the
+    guide sample, the cell routing and the per-cell aggregation are
+    vectorized and realize the sampling distribution of the
+    item-at-a-time passes (the oracle in ``tests/oracles.py``).
     """
 
     def __init__(
@@ -176,7 +135,6 @@ class TwoPassSampler:
         partition: str = "auto",
         split_rule: str = "median",
         labeler=None,
-        strict_seed: bool = False,
     ):
         if s < 1:
             raise ValueError("sample size must be >= 1")
@@ -193,7 +151,6 @@ class TwoPassSampler:
         self._partition_kind = partition
         self._split_rule = split_rule
         self._labeler = labeler
-        self._strict_seed = bool(strict_seed)
         self.last_partition = None  # exposed for tests/diagnostics
         # Build-phase tracing (repro.obs): no-op spans unless the
         # process-global registry is enabled.
@@ -210,84 +167,105 @@ class TwoPassSampler:
         return "ancestor"
 
     def fit(self, dataset: Dataset) -> SampleSummary:
-        """Run both passes over ``dataset`` and return the summary."""
-        with self._obs.span(
-            "twopass.fit", n=dataset.weights.shape[0], s=self._s,
-            strict_seed=self._strict_seed,
-        ):
-            if self._strict_seed:
-                return self._fit_scalar(dataset)
-            return self._fit_batched(dataset)
+        """Run both passes over ``dataset`` and return the summary.
 
-    def _fit_batched(self, dataset: Dataset) -> SampleSummary:
-        """Vectorized passes: same pipeline, NumPy kernels throughout.
-
-        Pass 1 becomes the offline exact threshold (identical value to
-        Algorithm 4's streaming fixpoint) plus the reservoir's bulk
-        feed; pass 2 becomes vectorized cell routing plus one
-        segmented aggregation chain per cell
+        Pass 1 is the offline exact threshold (the value of Algorithm
+        4's streaming fixpoint) plus an offline VarOpt guide sample;
+        pass 2 is vectorized cell routing plus one segmented
+        aggregation chain per cell
         (:func:`repro.twopass.io_aggregate.aggregate_cells`).
         """
-        rng = self._rng
-        s = self._s
-        weights = dataset.weights
-        with self._obs.span("twopass.threshold"):
-            tau = ipps_threshold(weights, s)
-        if tau == 0.0:
-            # The sample size covers every positive-weight key.
-            mask = weights > 0
-            return SampleSummary(
-                coords=dataset.coords[mask],
-                weights=weights[mask],
-                tau=0.0,
-            )
-        # ---- Pass 1: guide sample via offline VarOpt -------------------
-        # The scalar pipeline draws the guide with the one-pass
-        # reservoir because it only sees a stream; with the dataset in
-        # memory the offline kernel draws a VarOpt_{s'} sample with the
-        # identical IPPS inclusion probabilities at a fraction of the
-        # cost.  Keys certain to be sampled (w >= tau_s) are excluded
-        # from the partition construction, as in the scalar pass.
-        with self._obs.span("twopass.guide_sample"):
-            guide_rows, _guide_tau = varopt_sample(
-                weights, s * self._factor, rng
-            )
-            guide_rows = guide_rows[weights[guide_rows] < tau]
-            guide_items = [
-                (tuple(key), float(weight))
-                for key, weight in zip(
-                    dataset.coords[guide_rows].tolist(), weights[guide_rows]
+        with self._obs.span(
+            "twopass.fit", n=dataset.weights.shape[0], s=self._s,
+        ):
+            rng = self._rng
+            s = self._s
+            weights = dataset.weights
+            with self._obs.span("twopass.threshold"):
+                tau = ipps_threshold(weights, s)
+            if tau == 0.0:
+                # The sample size covers every positive-weight key.
+                mask = weights > 0
+                return SampleSummary(
+                    coords=dataset.coords[mask],
+                    weights=weights[mask],
+                    tau=0.0,
                 )
-            ]
-        kind = self._resolve_partition_kind(dataset)
-        with self._obs.span("twopass.partition", kind=kind):
-            partition = self._build_partition(
-                dataset, kind, guide_items, tau
+            # ---- Pass 1: guide sample via offline VarOpt -------------------
+            # A one-pass pipeline draws the guide with the reservoir
+            # because it only sees a stream; with the dataset in
+            # memory the offline kernel draws a VarOpt_{s'} sample with
+            # the identical IPPS inclusion probabilities at a fraction
+            # of the cost.  Keys certain to be sampled (w >= tau_s) are
+            # excluded from the partition construction -- S' is
+            # guaranteed to contain them.
+            with self._obs.span("twopass.guide_sample"):
+                guide_rows, _guide_tau = varopt_sample(
+                    weights, s * self._factor, rng
+                )
+                guide_rows = guide_rows[weights[guide_rows] < tau]
+            kind = self._resolve_partition_kind(dataset)
+            with self._obs.span("twopass.partition", kind=kind):
+                partition = self._build_partition(
+                    dataset, kind, dataset.coords[guide_rows],
+                    weights[guide_rows], tau,
+                )
+            self.last_partition = partition
+            # ---- Pass 2: route + segmented per-cell aggregation ------------
+            with self._obs.span("twopass.aggregate", kind=kind):
+                p = np.minimum(1.0, weights / tau)
+                heavy_rows = np.flatnonzero(p >= 1.0 - SET_EPS)
+                light_rows = np.flatnonzero(
+                    (p > SET_EPS) & (p < 1.0 - SET_EPS)
+                )
+                codes = partition.cell_codes(dataset.coords[light_rows])
+                committed, active_rows, active_probs, active_codes = (
+                    aggregate_cells(p, light_rows, codes, rng)
+                )
+            # ---- Final phase: aggregate the active records -----------------
+            with self._obs.span("twopass.finalize", kind=kind):
+                final_rows = self._finalize(
+                    dataset, kind, partition, active_rows, active_probs,
+                    active_codes, rng,
+                )
+            rows = np.concatenate((heavy_rows, committed, final_rows))
+            return SampleSummary(
+                coords=dataset.coords[rows],
+                weights=weights[rows],
+                tau=tau,
             )
-        self.last_partition = partition
-        # ---- Pass 2: route + segmented per-cell aggregation ------------
-        with self._obs.span("twopass.aggregate", kind=kind):
-            p = np.minimum(1.0, weights / tau)
-            heavy_rows = np.flatnonzero(p >= 1.0 - SET_EPS)
-            light_rows = np.flatnonzero((p > SET_EPS) & (p < 1.0 - SET_EPS))
-            codes = partition.cell_codes(dataset.coords[light_rows])
-            committed, active_rows, active_probs, active_codes = (
-                aggregate_cells(p, light_rows, codes, rng)
-            )
-        # ---- Final phase: aggregate the active records -----------------
-        with self._obs.span("twopass.finalize", kind=kind):
-            final_rows = self._finalize_batched(
-                dataset, kind, partition, active_rows, active_probs,
-                active_codes, rng,
-            )
-        rows = np.concatenate((heavy_rows, committed, final_rows))
-        return SampleSummary(
-            coords=dataset.coords[rows],
-            weights=weights[rows],
-            tau=tau,
-        )
 
-    def _finalize_batched(
+    def _build_partition(
+        self,
+        dataset: Dataset,
+        kind: str,
+        guide_coords: np.ndarray,
+        guide_weights: np.ndarray,
+        tau: float,
+    ):
+        """The partition induced by the guide rows' ``(m, d)`` coords."""
+        if kind == "kd":
+            if guide_coords.shape[0] == 0:
+                raise ValueError("guide sample too small for a kd partition")
+            return KDPartition(
+                guide_coords, np.minimum(1.0, guide_weights / tau),
+                domain=dataset.domain, split_rule=self._split_rule,
+            )
+        if kind in ("order", "linearized"):
+            return OrderPartition(guide_coords[:, 0])
+        if kind == "ancestor":
+            return HierarchyAncestorPartition(
+                dataset.domain.hierarchy(0), guide_coords[:, 0]
+            )
+        if kind == "disjoint":
+            # The labeler sees native-int key tuples, as in cell_codes.
+            labels = [
+                self._labeler(tuple(key)) for key in guide_coords.tolist()
+            ]
+            return DisjointPartition(labels, labeler=self._labeler)
+        raise ValueError(f"unknown partition kind: {kind}")
+
+    def _finalize(
         self,
         dataset: Dataset,
         kind: str,
@@ -299,9 +277,9 @@ class TwoPassSampler:
     ) -> np.ndarray:
         """Structure-following aggregation of the active records.
 
-        Mirrors :meth:`_finalize` over (row, probability) arrays; the
-        active set is O(#cells), so only the order/ancestor chains are
-        vectorized -- the kd walk touches each partition node once.
+        Works over (row, probability) arrays; the active set is
+        O(#cells), so the order/ancestor passes are chain kernels and
+        the kd walk touches each partition node once.
         """
         if rows.size == 0:
             return rows
@@ -325,114 +303,6 @@ class TwoPassSampler:
         finalize_leftover(p, leftover, rng)
         return rows[included_indices(p)]
 
-    def _fit_scalar(self, dataset: Dataset) -> SampleSummary:
-        """The historical item-at-a-time passes (``strict_seed=True``)."""
-        rng = self._rng
-        s = self._s
-        # ---- Pass 1: exact threshold + guide sample --------------------
-        threshold = StreamingThreshold(s)
-        guide = StreamVarOpt(s * self._factor, rng)
-        for key, weight in dataset.iter_items():
-            threshold.update(weight)
-            guide.feed(key, weight)
-        tau = threshold.tau
-        if tau == 0.0:
-            # The sample size covers every positive-weight key.
-            mask = dataset.weights > 0
-            return SampleSummary(
-                coords=dataset.coords[mask],
-                weights=dataset.weights[mask],
-                tau=0.0,
-            )
-        # Keys certain to be sampled (w >= tau_s) are excluded from the
-        # partition construction -- S' is guaranteed to contain them all.
-        guide_items = [
-            (key, weight)
-            for key, weight in guide.sample_items()
-            if weight < tau
-        ]
-        kind = self._resolve_partition_kind(dataset)
-        partition = self._build_partition(dataset, kind, guide_items, tau)
-        self.last_partition = partition
-        # ---- Pass 2: IO-AGGREGATE --------------------------------------
-        aggregator = IOAggregator(tau, partition.cell_of, rng)
-        for key, weight in dataset.iter_items():
-            aggregator.process(key, weight)
-        # ---- Final phase: aggregate the active keys --------------------
-        records = aggregator.active_records()
-        chosen = list(aggregator.sample)
-        chosen.extend(self._finalize(records, partition, kind, dataset, rng))
-        if not chosen:
-            return SampleSummary(
-                coords=np.empty((0, dataset.dims), dtype=np.int64),
-                weights=np.empty(0),
-                tau=tau,
-            )
-        coords = np.asarray([key for key, _w in chosen], dtype=np.int64)
-        weights = np.asarray([w for _k, w in chosen], dtype=float)
-        return SampleSummary(coords=coords, weights=weights, tau=tau)
-
-    def _build_partition(self, dataset, kind, guide_items, tau):
-        guide_keys = [key for key, _w in guide_items]
-        if kind == "kd":
-            if not guide_keys:
-                raise ValueError("guide sample too small for a kd partition")
-            coords = np.asarray(guide_keys, dtype=np.int64)
-            probs = np.asarray(
-                [min(1.0, w / tau) for _k, w in guide_items], dtype=float
-            )
-            return KDPartition(
-                coords, probs, domain=dataset.domain,
-                split_rule=self._split_rule,
-                strict_seed=self._strict_seed,
-            )
-        if kind in ("order", "linearized"):
-            return OrderPartition([key[0] for key in guide_keys])
-        if kind == "ancestor":
-            hierarchy = dataset.domain.hierarchy(0)
-            return HierarchyAncestorPartition(
-                hierarchy, [key[0] for key in guide_keys]
-            )
-        if kind == "disjoint":
-            from repro.twopass.partitions import DisjointPartition
-
-            labels = [self._labeler(key) for key in guide_keys]
-            return DisjointPartition(labels, labeler=self._labeler)
-        raise ValueError(f"unknown partition kind: {kind}")
-
-    def _finalize(
-        self,
-        records: List[Record],
-        partition,
-        kind: str,
-        dataset: Dataset,
-        rng: np.random.Generator,
-    ) -> List[Tuple[Tuple[int, ...], float]]:
-        """Aggregate active keys following the structure; return chosen."""
-        if not records:
-            return []
-        p = np.asarray([rec[2] for rec in records], dtype=float)
-        if kind == "kd":
-            cell_to_index = {
-                partition.cell_of(rec[0]): i for i, rec in enumerate(records)
-            }
-            leftover = _aggregate_tree_cells(
-                partition.tree, cell_to_index, p, rng
-            )
-        elif kind == "ancestor":
-            keys = np.asarray([rec[0][0] for rec in records])
-            leftover = _aggregate_hierarchy_records(
-                keys, p, dataset.domain.hierarchy(0), rng
-            )
-        else:  # order / linearized: aggregate along the sorted order
-            keys = np.asarray([rec[0][0] for rec in records])
-            order = np.argsort(keys, kind="stable")
-            leftover = aggregate_pool(p, [int(i) for i in order], rng)
-        finalize_leftover(p, leftover, rng)
-        return [
-            (records[i][0], records[i][1]) for i in included_indices(p)
-        ]
-
 
 def two_pass_summary(
     dataset: Dataset,
@@ -442,7 +312,6 @@ def two_pass_summary(
     partition: str = "auto",
     split_rule: str = "median",
     labeler=None,
-    strict_seed: bool = False,
 ) -> SampleSummary:
     """Convenience wrapper: fit a :class:`TwoPassSampler` on a dataset."""
     sampler = TwoPassSampler(
@@ -452,6 +321,5 @@ def two_pass_summary(
         partition=partition,
         split_rule=split_rule,
         labeler=labeler,
-        strict_seed=strict_seed,
     )
     return sampler.fit(dataset)

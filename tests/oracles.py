@@ -7,11 +7,49 @@ formulation of its 1-D sorted-leaf path (``_query_boxes_1d``).  Both
 live here as functions of the digest's public ``to_state()``, so they
 read no private fields, and the tests compare ``query_many`` with them
 bitwise.
+
+The samplers' scalar walks -- the paper's algorithms as written, one
+pair aggregation or one tree node at a time -- live here too:
+random-order pair aggregation (Algorithm 1) for ``varopt`` and the
+merge/downsample re-aggregation, the item-at-a-time reservoir feed,
+the order, disjoint, hierarchy and kd-product pair-selection rules,
+KD-HIERARCHY as a per-node recursion (Algorithm 2), and the two-pass
+pipeline with the per-item IO-AGGREGATE (Algorithm 3).  They take the
+same public inputs as the production samplers, whose vectorized
+kernels realize the same distributions with a different RNG
+consumption order.  ``tests/test_kernel_equivalence.py`` and
+``tests/test_twopass.py`` compare the two statistically;
+``tests/test_kd.py`` pins the level-synchronous kd build to the
+recursion node for node.
 """
+
+from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
 
+from repro.aware.kd import KDNode
+from repro.core.aggregation import (
+    SET_EPS,
+    aggregate_pool,
+    finalize_leftover,
+    included_indices,
+    is_set,
+    pair_aggregate_values,
+)
+from repro.core.estimator import SampleSummary
+from repro.core.ipps import (
+    StreamingThreshold,
+    ipps_probabilities,
+    ipps_threshold,
+)
+from repro.core.varopt import StreamVarOpt
+from repro.structures.order import OrderedDomain
 from repro.structures.ranges import compile_query_plan
+from repro.twopass.partitions import (
+    DisjointPartition,
+    HierarchyAncestorPartition,
+    OrderPartition,
+)
 
 
 def qdigest_stream_levels(state):
@@ -166,3 +204,689 @@ def same_bits(got, expect) -> bool:
     return got.shape == expect.shape and bool(
         (got.view(np.int64) == expect.view(np.int64)).all()
     )
+
+
+# ----------------------------------------------------------------------
+# Offline VarOpt: random-order pair aggregation (Algorithm 1)
+# ----------------------------------------------------------------------
+def varopt_sample(
+    weights: np.ndarray,
+    s: float,
+    rng: np.random.Generator,
+    order: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, float]:
+    """Scalar ``repro.core.varopt.varopt_sample``: one pair at a time."""
+    w = np.asarray(weights, dtype=float)
+    p, tau = ipps_probabilities(w, s)
+    fractional = np.flatnonzero((p > 0.0) & (p < 1.0))
+    if order is None:
+        order = rng.permutation(fractional.size)
+    pool = fractional[order]
+    leftover = aggregate_pool(p, pool.tolist(), rng)
+    finalize_leftover(p, leftover, rng)
+    return included_indices(p), tau
+
+
+def varopt_summary(dataset, s: float, rng: np.random.Generator):
+    """Scalar ``repro.core.varopt.varopt_summary``."""
+    included, tau = varopt_sample(dataset.weights, s, rng)
+    return SampleSummary(
+        coords=dataset.coords[included],
+        weights=dataset.weights[included],
+        tau=tau,
+    )
+
+
+def stream_varopt_summary(dataset, s: int, rng: np.random.Generator):
+    """``stream_varopt_summary`` fed one item at a time.
+
+    The reservoir's per-item ``feed`` (no vectorized light-run
+    prefix), so every accept/evict decision draws its own uniforms.
+    """
+    sampler = StreamVarOpt(s, rng)
+    for key, weight in dataset.iter_items():
+        sampler.feed(key, weight)
+    return sampler.summary()
+
+
+def reaggregate(
+    coords: np.ndarray,
+    adjusted: np.ndarray,
+    tau_floor: float,
+    s: int,
+    rng: Optional[np.random.Generator],
+) -> SampleSummary:
+    """Scalar second-stage IPPS/VarOpt over adjusted weights.
+
+    The re-aggregation behind ``SampleSummary.merge`` and
+    ``downsample``: inclusion probability ``min(1, a_i / tau*)`` with
+    ``tau* = max(tau_floor, tau_s(a))``, realized by random-order pair
+    aggregation.
+    """
+    if s < 1:
+        raise ValueError("target sample size must be >= 1")
+    if rng is None:
+        rng = np.random.default_rng()
+    tau_star = max(tau_floor, ipps_threshold(adjusted, s))
+    if tau_star == 0.0:
+        return SampleSummary(coords=coords, weights=adjusted, tau=0.0)
+    p = np.minimum(1.0, adjusted / tau_star)
+    fractional = np.flatnonzero((p > 0.0) & (p < 1.0))
+    pool = fractional[rng.permutation(fractional.size)]
+    leftover = aggregate_pool(p, pool.tolist(), rng)
+    finalize_leftover(p, leftover, rng)
+    included = included_indices(p)
+    return SampleSummary(
+        coords=coords[included],
+        weights=adjusted[included],
+        tau=tau_star,
+    )
+
+
+def downsample(
+    summary: SampleSummary,
+    s: int,
+    rng: Optional[np.random.Generator] = None,
+) -> SampleSummary:
+    """Scalar ``SampleSummary.downsample``."""
+    if summary.size <= s:
+        return SampleSummary(
+            coords=summary.coords.copy(),
+            weights=summary.weights.copy(),
+            tau=summary.tau,
+        )
+    return reaggregate(
+        summary.coords, summary.adjusted_weights, summary.tau, s, rng
+    )
+
+
+def merge(
+    a: SampleSummary,
+    b: SampleSummary,
+    s: Optional[int] = None,
+    rng: Optional[np.random.Generator] = None,
+) -> SampleSummary:
+    """Scalar ``SampleSummary.merge`` of two disjoint-shard samples."""
+    if b.size == 0 or a.size == 0:
+        base = a if b.size == 0 else b
+        if s is None or base.size <= s:
+            return SampleSummary(
+                coords=base.coords.copy(),
+                weights=base.weights.copy(),
+                tau=base.tau,
+            )
+        return downsample(base, s, rng)
+    if s is None:
+        s = max(a.size, b.size)
+    coords = np.concatenate((a.coords, b.coords), axis=0)
+    adjusted = np.concatenate((a.adjusted_weights, b.adjusted_weights))
+    return reaggregate(coords, adjusted, max(a.tau, b.tau), s, rng)
+
+
+# ----------------------------------------------------------------------
+# Structure-aware pair selection (Sections 3-4)
+# ----------------------------------------------------------------------
+def order_aware_sample(
+    keys: np.ndarray,
+    weights: np.ndarray,
+    s: float,
+    rng: np.random.Generator,
+) -> Tuple[np.ndarray, float, np.ndarray]:
+    """Scalar OSSUMMARIZE (Algorithm 5): one chain along the key order."""
+    keys = np.asarray(keys)
+    weights = np.asarray(weights, dtype=float)
+    p, tau = ipps_probabilities(weights, s)
+    p_initial = p.copy()
+    order = np.argsort(keys, kind="stable")
+    fractional = [int(i) for i in order if 0.0 < p[i] < 1.0]
+    leftover = aggregate_pool(p, fractional, rng)
+    finalize_leftover(p, leftover, rng)
+    return included_indices(p), tau, p_initial
+
+
+def disjoint_aware_sample(
+    labels: np.ndarray,
+    weights: np.ndarray,
+    s: float,
+    rng: np.random.Generator,
+) -> Tuple[np.ndarray, float, np.ndarray]:
+    """Scalar disjoint-range rule: one pool per range, then leftovers."""
+    labels = np.asarray(labels)
+    weights = np.asarray(weights, dtype=float)
+    p, tau = ipps_probabilities(weights, s)
+    p_initial = p.copy()
+    fractional = np.flatnonzero((p > 0.0) & (p < 1.0))
+    leftovers = []
+    if fractional.size:
+        order = np.argsort(labels[fractional], kind="stable")
+        idx_sorted = fractional[order]
+        lbl_sorted = labels[idx_sorted]
+        boundaries = np.flatnonzero(np.diff(lbl_sorted)) + 1
+        starts = np.concatenate(([0], boundaries, [idx_sorted.size]))
+        for lo, hi in zip(starts[:-1], starts[1:]):
+            leftover = aggregate_pool(p, idx_sorted[lo:hi].tolist(), rng)
+            if leftover is not None:
+                leftovers.append(leftover)
+    final = aggregate_pool(p, leftovers, rng)
+    finalize_leftover(p, final, rng)
+    return included_indices(p), tau, p_initial
+
+
+def aggregate_group(
+    p: np.ndarray,
+    indices: np.ndarray,
+    keys_sorted: np.ndarray,
+    hierarchy,
+    depth: int,
+    rng: np.random.Generator,
+) -> Optional[int]:
+    """Lowest-LCA-first aggregation of one induced subtree, recursively.
+
+    ``indices`` are positions into ``p`` whose keys ``keys_sorted`` are
+    sorted ascending and share one node at ``depth``; children resolve
+    first and the node pair-aggregates their leftovers.  Each call
+    recurses one level deeper, so the nesting is at most
+    ``hierarchy.depth + 1`` frames.
+    """
+    if indices.size == 0:
+        return None
+    if indices.size == 1:
+        idx = int(indices[0])
+        return None if is_set(float(p[idx])) else idx
+    # Contract unary chains: descend to the group's true LCA depth.
+    lca = hierarchy.lca_depth(int(keys_sorted[0]), int(keys_sorted[-1]))
+    depth = max(depth, lca)
+    if depth >= hierarchy.depth:
+        # All keys identical (duplicate leaves): aggregate arbitrarily.
+        return aggregate_pool(p, indices.tolist(), rng)
+    # Split into children at depth+1 (the group is sorted by key, so
+    # children are contiguous runs of equal node ids).
+    child_ids = hierarchy.node_of(keys_sorted, depth + 1)
+    boundaries = np.flatnonzero(np.diff(child_ids)) + 1
+    starts = np.concatenate(([0], boundaries, [indices.size]))
+    leftovers = []
+    for lo, hi in zip(starts[:-1], starts[1:]):
+        leftover = aggregate_group(
+            p, indices[lo:hi], keys_sorted[lo:hi], hierarchy, depth + 1, rng
+        )
+        if leftover is not None:
+            leftovers.append(leftover)
+    return aggregate_pool(p, leftovers, rng)
+
+
+def hierarchy_aware_sample(
+    keys: np.ndarray,
+    weights: np.ndarray,
+    s: float,
+    hierarchy,
+    rng: np.random.Generator,
+) -> Tuple[np.ndarray, float, np.ndarray]:
+    """Scalar hierarchy rule: :func:`aggregate_group` from the root."""
+    keys = np.asarray(keys)
+    weights = np.asarray(weights, dtype=float)
+    p, tau = ipps_probabilities(weights, s)
+    p_initial = p.copy()
+    fractional = np.flatnonzero((p > 0.0) & (p < 1.0))
+    if fractional.size:
+        order = np.argsort(keys[fractional], kind="stable")
+        idx_sorted = fractional[order]
+        leftover = aggregate_group(
+            p, idx_sorted, keys[idx_sorted], hierarchy, 0, rng
+        )
+        finalize_leftover(p, leftover, rng)
+    return included_indices(p), tau, p_initial
+
+
+# ----------------------------------------------------------------------
+# KD-HIERARCHY (Algorithm 2) as a per-node recursion
+# ----------------------------------------------------------------------
+def _weighted_median_split(values: np.ndarray, masses: np.ndarray):
+    """Best split value on one axis, or ``None`` if the axis is constant.
+
+    Returns ``(split_value, imbalance)``: left = ``value <=
+    split_value`` and right are both non-empty, and the absolute
+    difference of their masses is minimal (Algorithm 2 line 9).  Sorts
+    the node's points itself; the float ops are the same sequence the
+    production builder runs on its presorted orders.
+    """
+    order = np.argsort(values, kind="stable")
+    sorted_vals = values[order]
+    sorted_mass = masses[order]
+    if sorted_vals[0] == sorted_vals[-1]:
+        return None
+    # Candidate cuts lie between runs of distinct values.
+    change = np.flatnonzero(np.diff(sorted_vals)) + 1
+    cums = np.cumsum(sorted_mass)
+    total = cums[-1]
+    left_masses = cums[change - 1]
+    imbalance = np.abs(total - 2.0 * left_masses)
+    best = int(np.argmin(imbalance))
+    split_value = int(sorted_vals[change[best] - 1])
+    return split_value, float(imbalance[best])
+
+
+def _midpoint_split(values: np.ndarray, box_side: Tuple[int, int]):
+    """Dyadic midpoint split of the cell's box side (ablation rule)."""
+    lo, hi = box_side
+    if lo >= hi:
+        return None
+    mid = (lo + hi) // 2
+    has_left = bool((values <= mid).any())
+    has_right = bool((values > mid).any())
+    if not (has_left and has_right):
+        return None
+    return mid
+
+
+def _choose_split(coords, masses, indices, depth, dims, box, split_rule):
+    """Pick the split axis/value, cycling axes from ``depth % dims``."""
+    for offset in range(dims):
+        axis = (depth + offset) % dims
+        values = coords[indices, axis]
+        if split_rule == "midpoint":
+            mid = _midpoint_split(values, box.side(axis))
+            if mid is not None:
+                return axis, mid
+            continue
+        result = _weighted_median_split(values, masses[indices])
+        if result is not None:
+            return axis, result[0]
+    return None
+
+
+def build_kd_hierarchy(
+    coords: np.ndarray,
+    masses: np.ndarray,
+    domain=None,
+    leaf_mass: float = 1.0,
+    split_rule: str = "median",
+) -> KDNode:
+    """KD-HIERARCHY by explicit-stack recursion, one argsort per try.
+
+    Same parameters and tree as ``repro.aware.kd.build_kd_hierarchy``:
+    nodes pop from a stack (right child first), so leaves get their
+    ``cell_id`` in that pop order.
+    """
+    coords = np.atleast_2d(np.asarray(coords))
+    masses = np.asarray(masses, dtype=float)
+    dims = coords.shape[1]
+    root_box = domain.full_box() if domain is not None else None
+    root = KDNode(mass=float(masses.sum()), box=root_box)
+    next_cell_id = 0
+    stack: List[Tuple[KDNode, np.ndarray, int]] = [
+        (root, np.arange(coords.shape[0]), 0)
+    ]
+    while stack:
+        node, indices, depth = stack.pop()
+        node.mass = float(masses[indices].sum())
+        if node.mass <= leaf_mass or indices.size <= 1:
+            node.indices = indices
+            node.cell_id = next_cell_id
+            next_cell_id += 1
+            continue
+        split = _choose_split(
+            coords, masses, indices, depth, dims, node.box, split_rule
+        )
+        if split is None:
+            # Every axis is constant on this cell: duplicate points.
+            node.indices = indices
+            node.cell_id = next_cell_id
+            next_cell_id += 1
+            continue
+        axis, split_value = split
+        node.axis = axis
+        node.split_value = split_value
+        left_mask = coords[indices, axis] <= split_value
+        left_idx = indices[left_mask]
+        right_idx = indices[~left_mask]
+        left_box = right_box = None
+        if node.box is not None:
+            lo, hi = node.box.side(axis)
+            if lo <= split_value < hi:
+                left_box, right_box = node.box.split(axis, split_value)
+            else:  # degenerate box side; children inherit the box
+                left_box = right_box = node.box
+        node.left = KDNode(mass=0.0, box=left_box)
+        node.right = KDNode(mass=0.0, box=right_box)
+        stack.append((node.left, left_idx, depth + 1))
+        stack.append((node.right, right_idx, depth + 1))
+    return root
+
+
+def fold_kd_leftovers(
+    root: KDNode,
+    leaf_leftover: Callable[[KDNode], Optional[int]],
+    p: np.ndarray,
+    rng: np.random.Generator,
+) -> Optional[int]:
+    """Post-order leftover aggregation over a kd-tree.
+
+    Every leaf is resolved by ``leaf_leftover(leaf)`` at visit time, so
+    leaf pools consume the generator in walk order, and every internal
+    node pair-aggregates its children's surviving leftovers.
+    """
+    stack = [(root, False)]
+    leftover_of = {}
+    while stack:
+        current, visited = stack.pop()
+        if current.is_leaf:
+            leftover_of[id(current)] = leaf_leftover(current)
+            continue
+        if not visited:
+            stack.append((current, True))
+            stack.append((current.left, False))
+            stack.append((current.right, False))
+            continue
+        pool = [
+            leftover_of.pop(id(current.left), None),
+            leftover_of.pop(id(current.right), None),
+        ]
+        pool = [
+            idx for idx in pool if idx is not None and not is_set(float(p[idx]))
+        ]
+        leftover_of[id(current)] = aggregate_pool(p, pool, rng)
+    return leftover_of.pop(id(root), None)
+
+
+def aggregate_kd(
+    node: KDNode,
+    p: np.ndarray,
+    index_map: np.ndarray,
+    rng: np.random.Generator,
+) -> Optional[int]:
+    """Scalar bottom-up kd aggregation: leaf pools resolve in walk order.
+
+    ``index_map`` translates the tree's local point indices to
+    positions in ``p``.
+    """
+    def leaf_leftover(leaf: KDNode) -> Optional[int]:
+        pool = [int(index_map[i]) for i in leaf.indices]
+        return aggregate_pool(p, pool, rng)
+
+    return fold_kd_leftovers(node, leaf_leftover, p, rng)
+
+
+def product_aware_sample(
+    coords: np.ndarray,
+    weights: np.ndarray,
+    s: float,
+    rng: np.random.Generator,
+    domain=None,
+    leaf_mass: float = 1.0,
+    split_rule: str = "median",
+) -> Tuple[np.ndarray, float, np.ndarray]:
+    """Scalar product rule: recursive kd build, then the per-node walk."""
+    coords = np.atleast_2d(np.asarray(coords))
+    weights = np.asarray(weights, dtype=float)
+    p, tau = ipps_probabilities(weights, s)
+    p_initial = p.copy()
+    fractional = np.flatnonzero((p > 0.0) & (p < 1.0))
+    if fractional.size:
+        tree = build_kd_hierarchy(
+            coords[fractional],
+            p[fractional],
+            domain=domain,
+            leaf_mass=leaf_mass,
+            split_rule=split_rule,
+        )
+        leftover = aggregate_kd(tree, p, fractional, rng)
+        finalize_leftover(p, leftover, rng)
+    return included_indices(p), tau, p_initial
+
+
+# ----------------------------------------------------------------------
+# Two-pass pipeline (Section 5) with per-item IO-AGGREGATE (Algorithm 3)
+# ----------------------------------------------------------------------
+#: An in-flight record: (key tuple, original weight, current probability).
+Record = Tuple[Tuple[int, ...], float, float]
+
+
+class IOAggregator:
+    """Streaming pair aggregation guided by a partition of the domain.
+
+    Each incoming key either enters the sample directly (probability
+    one), becomes its cell's active key, or pair-aggregates with the
+    cell's active key.  Memory is one record per cell plus the sample.
+
+    Parameters
+    ----------
+    tau:
+        The IPPS threshold for the target sample size (from pass 1).
+        ``tau == 0`` means every positive-weight key is sampled exactly.
+    cell_of:
+        Maps a key tuple to a hashable cell identifier.
+    rng:
+        Randomness source.
+    """
+
+    def __init__(
+        self,
+        tau: float,
+        cell_of: Callable[[Tuple[int, ...]], Hashable],
+        rng: np.random.Generator,
+    ):
+        if tau < 0:
+            raise ValueError("tau must be non-negative")
+        self._tau = float(tau)
+        self._cell_of = cell_of
+        self._rng = rng
+        self._active: Dict[Hashable, Record] = {}
+        self._sample: List[Tuple[Tuple[int, ...], float]] = []
+        self._mass_in = 0.0  # total probability mass fed (for invariants)
+
+    @property
+    def tau(self) -> float:
+        """The IPPS threshold in use."""
+        return self._tau
+
+    @property
+    def sample(self) -> List[Tuple[Tuple[int, ...], float]]:
+        """Keys already committed to the sample (probability one)."""
+        return self._sample
+
+    @property
+    def active_count(self) -> int:
+        """Number of cells currently holding an active fractional key."""
+        return len(self._active)
+
+    def probability_of(self, weight: float) -> float:
+        """IPPS inclusion probability of a weight under the threshold."""
+        if weight <= 0:
+            return 0.0
+        if self._tau == 0.0:
+            return 1.0
+        return min(1.0, weight / self._tau)
+
+    def process(self, key: Tuple[int, ...], weight: float) -> None:
+        """Process one stream item (Algorithm 3 body)."""
+        p = self.probability_of(weight)
+        if p == 0.0:
+            return
+        self._mass_in += p
+        if p >= 1.0 - SET_EPS:
+            self._sample.append((key, weight))
+            return
+        cell = self._cell_of(key)
+        resident = self._active.get(cell)
+        if resident is None:
+            self._active[cell] = (key, weight, p)
+            return
+        res_key, res_weight, res_p = resident
+        new_res_p, new_p = pair_aggregate_values(res_p, p, self._rng)
+        del self._active[cell]
+        for rec_key, rec_weight, rec_p in (
+            (res_key, res_weight, new_res_p),
+            (key, weight, new_p),
+        ):
+            if rec_p >= 1.0 - SET_EPS:
+                self._sample.append((rec_key, rec_weight))
+            elif rec_p > SET_EPS:
+                self._active[cell] = (rec_key, rec_weight, rec_p)
+
+    def active_records(self) -> List[Record]:
+        """The surviving active keys (for the final aggregation phase)."""
+        return list(self._active.values())
+
+    def conservation_error(self) -> float:
+        """|mass in - (committed + active)|: should be ~0 at all times."""
+        mass_out = float(len(self._sample)) + sum(
+            rec[2] for rec in self._active.values()
+        )
+        return abs(self._mass_in - mass_out)
+
+
+def _aggregate_tree_cells(
+    root: KDNode,
+    cell_to_index: dict,
+    p: np.ndarray,
+    rng: np.random.Generator,
+) -> Optional[int]:
+    """Bottom-up aggregation of at most one record per kd cell."""
+    def leaf_leftover(leaf: KDNode) -> Optional[int]:
+        idx = cell_to_index.get(leaf.cell_id)
+        if idx is None or is_set(float(p[idx])):
+            return None
+        return idx
+
+    return fold_kd_leftovers(root, leaf_leftover, p, rng)
+
+
+def _aggregate_hierarchy_records(
+    keys: np.ndarray,
+    p: np.ndarray,
+    hierarchy,
+    rng: np.random.Generator,
+) -> Optional[int]:
+    """Final-phase aggregation of active records along a hierarchy."""
+    order = np.argsort(keys, kind="stable")
+    return aggregate_group(p, order, keys[order], hierarchy, 0, rng)
+
+
+class _KDCells:
+    """A kd partition of the guide sample, built by the recursion."""
+
+    def __init__(self, coords, probs, domain, split_rule):
+        self.tree = build_kd_hierarchy(
+            coords, probs, domain=domain, leaf_mass=1.0,
+            split_rule=split_rule,
+        )
+
+    def cell_of(self, key) -> int:
+        """Leaf cell id containing the key."""
+        return self.tree.locate(key).cell_id
+
+
+def _build_partition(dataset, kind, guide_items, tau, split_rule, labeler):
+    guide_keys = [key for key, _w in guide_items]
+    if kind == "kd":
+        if not guide_keys:
+            raise ValueError("guide sample too small for a kd partition")
+        coords = np.asarray(guide_keys, dtype=np.int64)
+        probs = np.asarray(
+            [min(1.0, w / tau) for _k, w in guide_items], dtype=float
+        )
+        return _KDCells(coords, probs, dataset.domain, split_rule)
+    if kind in ("order", "linearized"):
+        return OrderPartition([key[0] for key in guide_keys])
+    if kind == "ancestor":
+        hierarchy = dataset.domain.hierarchy(0)
+        return HierarchyAncestorPartition(
+            hierarchy, [key[0] for key in guide_keys]
+        )
+    if kind == "disjoint":
+        labels = [labeler(key) for key in guide_keys]
+        return DisjointPartition(labels, labeler=labeler)
+    raise ValueError(f"unknown partition kind: {kind}")
+
+
+def _finalize(records, partition, kind, dataset, rng):
+    """Aggregate active keys following the structure; return chosen."""
+    if not records:
+        return []
+    p = np.asarray([rec[2] for rec in records], dtype=float)
+    if kind == "kd":
+        cell_to_index = {
+            partition.cell_of(rec[0]): i for i, rec in enumerate(records)
+        }
+        leftover = _aggregate_tree_cells(
+            partition.tree, cell_to_index, p, rng
+        )
+    elif kind == "ancestor":
+        keys = np.asarray([rec[0][0] for rec in records])
+        leftover = _aggregate_hierarchy_records(
+            keys, p, dataset.domain.hierarchy(0), rng
+        )
+    else:  # order / linearized / disjoint: along the sorted order
+        keys = np.asarray([rec[0][0] for rec in records])
+        order = np.argsort(keys, kind="stable")
+        leftover = aggregate_pool(p, [int(i) for i in order], rng)
+    finalize_leftover(p, leftover, rng)
+    return [(records[i][0], records[i][1]) for i in included_indices(p)]
+
+
+def two_pass_summary(
+    dataset,
+    s: int,
+    rng: np.random.Generator,
+    s_prime_factor: int = 5,
+    partition: str = "auto",
+    split_rule: str = "median",
+    labeler=None,
+) -> SampleSummary:
+    """The two-pass sampler as written: every pass item by item.
+
+    Pass 1 runs Algorithm 4's streaming threshold beside the one-pass
+    reservoir guide sample; pass 2 feeds every item through
+    :class:`IOAggregator`; the final phase aggregates the active
+    records along the partition's structure.  Same parameters as
+    ``repro.twopass.two_pass_summary``.
+    """
+    kind = partition
+    if kind == "auto":
+        if dataset.dims > 1:
+            kind = "kd"
+        elif isinstance(dataset.domain.axes[0], OrderedDomain):
+            kind = "order"
+        else:
+            kind = "ancestor"
+    # ---- Pass 1: exact threshold + guide sample ------------------------
+    threshold = StreamingThreshold(s)
+    guide = StreamVarOpt(s * s_prime_factor, rng)
+    for key, weight in dataset.iter_items():
+        threshold.update(weight)
+        guide.feed(key, weight)
+    tau = threshold.tau
+    if tau == 0.0:
+        # The sample size covers every positive-weight key.
+        mask = dataset.weights > 0
+        return SampleSummary(
+            coords=dataset.coords[mask],
+            weights=dataset.weights[mask],
+            tau=0.0,
+        )
+    # Keys certain to be sampled (w >= tau_s) are excluded from the
+    # partition construction -- S' is guaranteed to contain them all.
+    guide_items = [
+        (key, weight) for key, weight in guide.sample_items() if weight < tau
+    ]
+    cells = _build_partition(
+        dataset, kind, guide_items, tau, split_rule, labeler
+    )
+    # ---- Pass 2: IO-AGGREGATE ------------------------------------------
+    aggregator = IOAggregator(tau, cells.cell_of, rng)
+    for key, weight in dataset.iter_items():
+        aggregator.process(key, weight)
+    # ---- Final phase: aggregate the active keys ------------------------
+    chosen = list(aggregator.sample)
+    chosen.extend(
+        _finalize(aggregator.active_records(), cells, kind, dataset, rng)
+    )
+    if not chosen:
+        return SampleSummary(
+            coords=np.empty((0, dataset.dims), dtype=np.int64),
+            weights=np.empty(0),
+            tau=tau,
+        )
+    coords = np.asarray([key for key, _w in chosen], dtype=np.int64)
+    weights = np.asarray([w for _k, w in chosen], dtype=float)
+    return SampleSummary(coords=coords, weights=weights, tau=tau)

@@ -18,7 +18,7 @@ from repro.distributed import (
     DistributedIngest,
     QueryFrontend,
 )
-from repro.stream import MicroBatch, StreamEngine
+from repro.stream import MicroBatch, StreamEngine, tumbling
 from repro.structures.product import line_domain
 from repro.structures.ranges import Box
 
@@ -101,13 +101,17 @@ class TestDistributedIngest:
 
         domain = line_domain(64)
         with DistributedIngest(
-            domain, ["obliv"], 10, num_workers=2, seed=0
+            domain, ["obliv"], 10, num_workers=2, seed=0,
+            window=tumbling(4.0),
         ) as fleet:
-            fleet.process(MicroBatch([[1]], [1.0]))
-            # Negative weights pass batch coercion but are rejected by
-            # the reservoir inside the worker.
-            fleet.process((np.asarray([[2]]), np.asarray([-1.0])))
-            fleet.process(MicroBatch([[3]], [1.0]))
+            fleet.process(MicroBatch([[1]], [1.0], 9.0))
+            fleet.process(MicroBatch([[4]], [1.0], 9.0))
+            # A late batch passes the coordinator, which keeps no event
+            # clock per slice, but worker 0's windowed engine (clock at
+            # 9.0) rejects it.  (A negative or non-finite weight would
+            # not do: MicroBatch rejects it before the batch is routed.)
+            fleet.process(MicroBatch([[2]], [1.0], 3.0))
+            fleet.process(MicroBatch([[3]], [1.0], 10.0))
             with pytest.raises(DistributedError, match="ingest failed"):
                 fleet.snapshot("obliv")
 

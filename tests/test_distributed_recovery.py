@@ -62,6 +62,33 @@ def run_fleet(transport, seed, *, recovery="replay", window=None,
         ingest.close()
 
 
+class TestBadWeightsRejected:
+    @pytest.mark.parametrize("bad", [-2.0, np.nan, np.inf])
+    def test_bad_batch_never_reaches_a_worker(self, bad):
+        # The batch is refused before it is routed, logged for replay
+        # or counted, so the fleet answers as if it never came.
+        baseline = run_fleet("inprocess", 3, num_workers=2, n_batches=6)
+        ingest = DistributedIngest(
+            domain(), METHODS, 48, transport="inprocess",
+            num_workers=2, seed=3, recovery="replay",
+        )
+        try:
+            for i, batch in enumerate(batches(3, n_batches=6)):
+                if i == 3:
+                    with pytest.raises(
+                        ValueError, match="finite and non-negative"
+                    ):
+                        ingest.process((
+                            np.array([[1], [2], [3]]),
+                            np.array([1.0, bad, 3.0]),
+                            float(i),
+                        ))
+                ingest.process(batch)
+            assert ingest.query_many_now(QUERIES) == baseline
+        finally:
+            ingest.close()
+
+
 class TestReplayRecovery:
     @pytest.mark.parametrize("seed", range(30))
     def test_kill_mid_stream_bit_identical_inprocess(self, seed):

@@ -235,6 +235,34 @@ class TestRecoveryMechanics:
         store.close()
 
 
+class TestBadWeightsRejected:
+    """A batch with a negative or non-finite weight never reaches the log.
+
+    Logged, such a batch would be absorbed by ``exact`` and then
+    rejected by the reservoir, so every later restore would re-raise
+    on replay.
+    """
+
+    @pytest.mark.parametrize("bad", [-2.0, np.nan, np.inf])
+    def test_rejected_before_logging(self, bad, tmp_path):
+        store = LogCheckpointStore(str(tmp_path / "ck"))
+        engine = StreamEngine(
+            domain(), ["exact", "obliv"], 64, seed=1,
+            store=store, stream_id="s",
+        )
+        engine.process(MicroBatch(np.array([[5], [6]]), np.array([4.0, 6.0])))
+        logged = [(r.seq, r.kind) for r in store.records("s")]
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            engine.process(
+                (np.array([[1], [2], [3]]), np.array([1.0, bad, 3.0]))
+            )
+        assert [(r.seq, r.kind) for r in store.records("s")] == logged
+        assert engine.items_seen == 2
+        restored = StreamEngine.restore(store, "s")
+        assert frames(restored) == frames(engine)
+        store.close()
+
+
 class TestLateItemsSatellite:
     def test_rejected_with_pane_and_timestamp(self):
         window = tumbling(4.0)

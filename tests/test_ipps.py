@@ -5,12 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.aware.disjoint import disjoint_aware_sample
+from repro.aware.hierarchy_sampler import hierarchy_aware_sample
+from repro.aware.order_sampler import order_aware_sample
+from repro.aware.product_sampler import product_aware_sample
 from repro.core.ipps import (
     StreamingThreshold,
     heavy_key_mask,
     ipps_probabilities,
     ipps_threshold,
 )
+from repro.core.varopt import varopt_sample
+from repro.structures.hierarchy import BitHierarchy
 
 weight_lists = st.lists(
     st.floats(min_value=0.01, max_value=1e6, allow_nan=False),
@@ -139,3 +145,54 @@ class TestStreamingThreshold:
         stream.update_many(np.asarray(weights))
         offline = ipps_threshold(np.asarray(weights), s)
         assert stream.tau == pytest.approx(offline, rel=1e-6, abs=1e-12)
+
+
+def _bad_input_calls():
+    """(id, call) pairs that must raise ``ValueError``."""
+    rng = np.random.default_rng(0)
+    keys = rng.choice(1024, size=50, replace=False)
+    coords = rng.integers(0, 1024, size=(50, 2))
+    weights = 1.0 + rng.random(50)
+    h = BitHierarchy(10)
+    gen = np.random.default_rng
+    calls = []
+    for name, short_keys, short_weights in (
+        ("short_keys", slice(0, 30), slice(None)),
+        ("short_weights", slice(None), slice(0, 30)),
+    ):
+        k, c, w = keys[short_keys], coords[short_keys], weights[short_weights]
+        calls += [
+            (f"order-{name}",
+             lambda k=k, w=w: order_aware_sample(k, w, 10, gen(0))),
+            (f"disjoint-{name}",
+             lambda k=k, w=w: disjoint_aware_sample(k // 100, w, 10, gen(0))),
+            (f"hierarchy-{name}",
+             lambda k=k, w=w: hierarchy_aware_sample(k, w, 10, h, gen(0))),
+            (f"product-{name}",
+             lambda c=c, w=w: product_aware_sample(c, w, 10, gen(0))),
+        ]
+    for label, bad in (("negative", -1.0), ("nan", np.nan),
+                       ("inf", np.inf), ("neg_inf", -np.inf)):
+        w = weights.copy()
+        w[7] = bad
+        calls += [
+            (f"ipps-{label}", lambda w=w: ipps_probabilities(w, 10)),
+            (f"varopt-{label}", lambda w=w: varopt_sample(w, 10, gen(0))),
+        ]
+    return calls
+
+
+@pytest.mark.parametrize(
+    "call",
+    [pytest.param(call, id=name) for name, call in _bad_input_calls()],
+)
+def test_samplers_reject_bad_inputs(call):
+    """Mismatched lengths and bad weights raise instead of biasing.
+
+    Unchecked, a key/weight length mismatch silently drops the surplus
+    rows (``order_aware_sample(keys[:30], weights[:50], 10)`` would
+    return 6 keys) or raises a bare ``IndexError``, and negative
+    weights become negative "probabilities".
+    """
+    with pytest.raises(ValueError):
+        call()

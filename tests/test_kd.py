@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from repro.aware.kd import (
     build_kd_hierarchy,
     kd_cell_ids,
@@ -173,3 +174,66 @@ class TestHierarchicalAxes:
         root = build_kd_hierarchy(coords, masses, domain=domain)
         boxes = kd_leaf_boxes(root)
         assert sum(box.volume for box in boxes) == 1024 * 1024
+
+
+class TestOracleIdentity:
+    """The level-synchronous build is the per-node recursion, bit for bit.
+
+    Production ``build_kd_hierarchy`` is compared node for node with
+    the Algorithm 2 recursion in ``tests/oracles.py``: same shape, and
+    per node the same axis, split value, mass (bitwise), cell id, leaf
+    point set and box.  Side-4 domains force duplicate points, which
+    stop the split on every axis.
+    """
+
+    SEEDS = range(40)
+    LEAF_MASSES = (0.0, 1.0, 2.5)
+
+    @staticmethod
+    def assert_same_tree(got, expect):
+        stack = [(got, expect)]
+        while stack:
+            a, b = stack.pop()
+            assert a.is_leaf == b.is_leaf
+            assert (a.axis, a.split_value, a.cell_id) == (
+                b.axis, b.split_value, b.cell_id
+            )
+            assert oracles.same_bits([a.mass], [b.mass])
+            assert a.box == b.box
+            if a.is_leaf:
+                assert sorted(a.indices.tolist()) == sorted(
+                    b.indices.tolist()
+                )
+            else:
+                stack.append((a.left, b.left))
+                stack.append((a.right, b.right))
+
+    @pytest.mark.parametrize("dims", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "split_rule, side",
+        [
+            ("median", None),
+            ("median", 1024),
+            ("median", 4),
+            ("midpoint", 1024),
+            ("midpoint", 4),
+        ],
+    )
+    def test_matches_recursion(self, dims, split_rule, side):
+        domain = (
+            None if side is None
+            else ProductDomain([OrderedDomain(side)] * dims)
+        )
+        for seed in self.SEEDS:
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(1, 120))
+            coords = rng.integers(0, side or 1024, size=(n, dims))
+            masses = rng.random(n)
+            for leaf_mass in self.LEAF_MASSES:
+                kwargs = dict(
+                    domain=domain, leaf_mass=leaf_mass, split_rule=split_rule
+                )
+                self.assert_same_tree(
+                    build_kd_hierarchy(coords, masses, **kwargs),
+                    oracles.build_kd_hierarchy(coords, masses, **kwargs),
+                )

@@ -1,10 +1,11 @@
-"""Statistical equivalence of the vectorized and scalar build paths.
+"""Statistical equivalence of the vectorized samplers and their oracles.
 
 The chain kernels consume randomness in a different order than the
-historical scalar loops, so seeded runs diverge; what must hold is
-that both paths realize the *same sampling distribution*.  For every
-sampler with a ``strict_seed`` switch this suite checks, over >= 50
-seeds per path:
+paper's scalar walks (kept as oracles in ``tests/oracles.py``), so
+seeded runs diverge; what must hold is that both realize the *same
+sampling distribution*.  For every sampler with a scalar oracle this
+suite checks, over >= 50 seeds per path (``strict=True`` selects the
+oracle):
 
 * threshold agreement -- tau is RNG-free and must match per seed;
 * realized sample size -- floor/ceil of the target on every seed;
@@ -19,6 +20,7 @@ seeds per path:
 import numpy as np
 import pytest
 
+import oracles
 from repro.aware.disjoint import disjoint_aware_sample
 from repro.aware.hierarchy_sampler import hierarchy_aware_sample
 from repro.aware.order_sampler import order_aware_sample
@@ -61,35 +63,45 @@ def payload():
 
 
 def _samplers(payload):
-    """Name -> callable(rng, strict) -> (included, tau)."""
+    """Name -> callable(rng, strict) -> (included, tau).
+
+    ``strict=True`` runs the scalar oracle, ``False`` the production
+    sampler.
+    """
     keys = payload["keys"]
     w = payload["weights"]
     h = payload["hierarchy"]
 
     def order(rng, strict):
-        inc, tau, _ = order_aware_sample(keys, w, S, rng, strict_seed=strict)
+        sample = oracles.order_aware_sample if strict else order_aware_sample
+        inc, tau, _ = sample(keys, w, S, rng)
         return inc, tau
 
     def disjoint(rng, strict):
-        inc, tau, _ = disjoint_aware_sample(
-            payload["labels"], w, S, rng, strict_seed=strict
+        sample = (
+            oracles.disjoint_aware_sample if strict else disjoint_aware_sample
         )
+        inc, tau, _ = sample(payload["labels"], w, S, rng)
         return inc, tau
 
     def hierarchy(rng, strict):
-        inc, tau, _ = hierarchy_aware_sample(
-            keys, w, S, h, rng, strict_seed=strict
+        sample = (
+            oracles.hierarchy_aware_sample if strict
+            else hierarchy_aware_sample
         )
+        inc, tau, _ = sample(keys, w, S, h, rng)
         return inc, tau
 
     def product(rng, strict):
-        inc, tau, _ = product_aware_sample(
-            payload["coords2"], w, S, rng, strict_seed=strict
+        sample = (
+            oracles.product_aware_sample if strict else product_aware_sample
         )
+        inc, tau, _ = sample(payload["coords2"], w, S, rng)
         return inc, tau
 
     def varopt(rng, strict):
-        return varopt_sample(w, S, rng, strict_seed=strict)
+        sample = oracles.varopt_sample if strict else varopt_sample
+        return sample(w, S, rng)
 
     return {
         "order": order,
@@ -185,7 +197,10 @@ def test_structural_guarantees_vectorized(payload):
 
 
 def test_merge_strict_seed_escape_hatch():
-    """merge/downsample offer the historical scalar RNG stream too."""
+    """merge/downsample agree with the scalar re-aggregation oracle.
+
+    Same threshold, sizes within the final Bernoulli's +-1.
+    """
     rng = np.random.default_rng(5)
     datasets = [
         Dataset.one_dimensional(
@@ -208,18 +223,26 @@ def test_merge_strict_seed_escape_hatch():
     merged_v = summaries[0].merge(
         summaries[1], s=30, rng=np.random.default_rng(9)
     )
-    merged_s = summaries[0].merge(
-        summaries[1], s=30, rng=np.random.default_rng(9), strict_seed=True
+    merged_s = oracles.merge(
+        summaries[0], summaries[1], s=30, rng=np.random.default_rng(9)
     )
     assert merged_v.tau == merged_s.tau
     assert abs(merged_v.size - 30) <= 1 and abs(merged_s.size - 30) <= 1
     big = merged_v if merged_v.size >= merged_s.size else merged_s
-    down = big.downsample(10, np.random.default_rng(3), strict_seed=True)
-    assert abs(down.size - 10) <= 1
+    down_v = big.downsample(10, np.random.default_rng(3))
+    down_s = oracles.downsample(big, 10, np.random.default_rng(3))
+    assert down_v.tau == down_s.tau
+    assert abs(down_v.size - 10) <= 1 and abs(down_s.size - 10) <= 1
 
 
 class TestDatasetBuilders:
     """The dataset-level builders: two-pass ``aware`` and ``obliv``."""
+
+    #: Production builder -> its item-at-a-time oracle.
+    ORACLES = {
+        two_pass_summary: oracles.two_pass_summary,
+        stream_varopt_summary: oracles.stream_varopt_summary,
+    }
 
     @pytest.fixture(scope="class")
     def dataset(self):
@@ -234,11 +257,9 @@ class TestDatasetBuilders:
     def test_tau_sizes_and_unbiased_totals(self, dataset, builder):
         totals = {True: [], False: []}
         for strict in (False, True):
+            build = self.ORACLES[builder] if strict else builder
             for seed in SEEDS:
-                summary = builder(
-                    dataset, 30, np.random.default_rng(seed),
-                    strict_seed=strict,
-                )
+                summary = build(dataset, 30, np.random.default_rng(seed))
                 assert np.isclose(
                     summary.tau,
                     ipps_probabilities(dataset.weights, 30)[1],

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import IOAggregator, two_pass_summary as two_pass_oracle
 from repro.core.discrepancy import (
     max_hierarchy_discrepancy,
     max_interval_discrepancy,
@@ -11,7 +12,6 @@ from repro.core.ipps import ipps_probabilities, ipps_threshold
 from repro.core.types import Dataset
 from repro.structures.hierarchy import BitHierarchy
 from repro.structures.product import ProductDomain, line_domain
-from repro.twopass.io_aggregate import IOAggregator
 from repro.twopass.partitions import (
     DisjointPartition,
     HierarchyAncestorPartition,
@@ -90,6 +90,8 @@ class TestDisjointPartition:
 
 
 class TestIOAggregator:
+    """Algorithm 3's per-item loop, the oracle of ``aggregate_cells``."""
+
     def test_heavy_keys_bypass_cells(self):
         agg = IOAggregator(10.0, lambda key: 0, np.random.default_rng(0))
         agg.process((1,), 50.0)
@@ -166,10 +168,10 @@ class TestTwoPassSampler:
         # 1-D ordered data: the two-pass sample keeps Delta < 2 w.h.p.;
         # we tolerate the rare guide-sample miss (a cell whose mass
         # exceeds one) by checking a high success rate rather than
-        # every seed.  Both the batched and the strict-seed scalar
-        # pipeline sit near 70% at these sizes; 40 deterministic seeds
-        # at a 65% bar keeps the check meaningful without pinning it
-        # to one RNG consumption order.
+        # every seed.  Both the batched pipeline and the item-at-a-time
+        # oracle (strict_seed=True) sit near 70% at these sizes; 40
+        # deterministic seeds at a 65% bar keeps the check meaningful
+        # without pinning it to one RNG consumption order.
         rng0 = np.random.default_rng(0)
         n = 400
         keys = rng0.choice(100_000, size=n, replace=False)
@@ -178,10 +180,9 @@ class TestTwoPassSampler:
         probs, tau = ipps_probabilities(weights, 30)
         ok = 0
         trials = 40
+        build = two_pass_oracle if strict_seed else two_pass_summary
         for t in range(trials):
-            summary = two_pass_summary(
-                data, 30, np.random.default_rng(t), strict_seed=strict_seed
-            )
+            summary = build(data, 30, np.random.default_rng(t))
             sampled = set(map(tuple, summary.coords))
             mask = np.array([(k,) in sampled for k in keys])
             if max_interval_discrepancy(keys, probs, mask) < 2.0 + 1e-9:

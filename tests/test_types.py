@@ -29,6 +29,16 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Dataset.one_dimensional([1], [-1.0], size=10)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_weights(self, bad):
+        # ``weights.min() < 0`` is False for NaN: without the finiteness
+        # check, 99 unit weights plus one NaN would build, and every
+        # sampler would report a total of 99.
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            Dataset.one_dimensional(
+                np.arange(100), [1.0] * 99 + [bad], size=100
+            )
+
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(ValueError):
             Dataset(
