@@ -3,9 +3,10 @@
 Three acceptance measurements for the durable tier:
 
 * **checkpoint overhead**: the same ~1e6-update landmark ingest run
-  twice in one process -- without a store, then with the write-ahead
-  log backend attached -- so the ratio is self-calibrated exactly like
-  the telemetry-overhead gate.  The acceptance budget is <= 10%
+  without a store and with the write-ahead log backend attached, in
+  one process: a warm-up pair, then ``OVERHEAD_PAIRS`` interleaved
+  pairs whose median ratio is gated, exactly like the
+  telemetry-overhead gate.  The acceptance budget is <= 10%
   (``check_regression.py --max-checkpoint-overhead``).
 * **restore latency**: rebuilding the engine from the store after a
   simulated crash, for both backends, with and without a checkpoint
@@ -34,15 +35,20 @@ from repro.durable import (
 )
 from repro.stream import MicroBatch, StreamEngine
 
-#: ~1e6 streamed updates at full scale (acceptance criterion).
+#: ~1e6 streamed updates at full scale (acceptance criterion).  Smoke
+#: mode streams the first 400k of the same shape (batch, sample size,
+#: address universe), so its no-store pass clears 0.15 s -- well above
+#: check_regression.py's 0.05 s floor -- and CI gates the same ratio.
 STREAM_CONFIG = NetworkConfig(
-    n_pairs=20_000 if SMOKE else 1_000_000,
-    n_sources=2_000 if SMOKE else 20_000,
-    n_dests=1_500 if SMOKE else 16_000,
+    n_pairs=400_000 if SMOKE else 1_000_000,
+    n_sources=20_000,
+    n_dests=16_000,
 )
-BATCH_SIZE = 2_000 if SMOKE else 10_000
-SAMPLE_SIZE = 400 if SMOKE else 2_000
+BATCH_SIZE = 10_000
+SAMPLE_SIZE = 2_000
 METHODS = ["obliv", "exact"]
+#: Timed no-store/store pairs after the warm-up pair.
+OVERHEAD_PAIRS = 5
 
 N_FLEET_BATCHES = 30 if SMOKE else 120
 FLEET_BATCH = 500 if SMOKE else 4_000
@@ -67,20 +73,32 @@ def _timed_ingest(store, stem):
 
 
 def _overhead_benchmark(tmp):
-    """Ingest with no store vs ingest with the log WAL attached."""
-    _, ingested, base_secs = _timed_ingest(None, "base")
-    store = LogCheckpointStore(f"{tmp}/overhead")
-    engine, _, store_secs = _timed_ingest(store, "s")
-    start = time.perf_counter()
-    engine.checkpoint()
-    checkpoint_secs = time.perf_counter() - start
-    store.sync()
-    store.close()
+    """Ingest with no store vs ingest with the log WAL attached.
+
+    The passes alternate so drift and background load hit both modes
+    alike; the ratio is the *median of the paired ratios* (one noisy
+    pass cannot move it), the wall times the fastest pass of each.
+    """
+    ratios, base, logged = [], [], []
+    for rep in range(OVERHEAD_PAIRS + 1):  # pair 0 warms up
+        _, ingested, base_secs = _timed_ingest(None, "base")
+        store = LogCheckpointStore(f"{tmp}/overhead{rep}")
+        engine, _, store_secs = _timed_ingest(store, "s")
+        if rep:
+            ratios.append(store_secs / max(base_secs, 1e-12))
+            base.append(base_secs)
+            logged.append(store_secs)
+        start = time.perf_counter()
+        engine.checkpoint()
+        checkpoint_secs = time.perf_counter() - start
+        store.sync()
+        store.close()
     return {
         "n": ingested,
-        "base_secs": base_secs,
-        "store_secs": store_secs,
-        "ratio": store_secs / max(base_secs, 1e-12),
+        "base_secs": min(base),
+        "store_secs": min(logged),
+        "ratio": float(np.median(ratios)),
+        "pairs": OVERHEAD_PAIRS,
         "checkpoint_secs": checkpoint_secs,
     }
 
@@ -167,7 +185,7 @@ def test_recovery(results_dir):
         f"  no store         : {overhead['base_secs']:9.2f} s",
         f"  log WAL attached : {overhead['store_secs']:9.2f} s",
         f"  overhead         : {overhead['ratio']:9.3f}x "
-        "(budget 1.10x)",
+        f"(median of {overhead['pairs']} pairs; budget 1.10x)",
         f"  checkpoint()     : {overhead['checkpoint_secs'] * 1e3:9.1f} ms",
         "",
         "Durability: restore-from-store latency after a crash",
@@ -198,6 +216,7 @@ def test_recovery(results_dir):
             "wall_time_nostore_s": overhead["base_secs"],
             "wall_time_store_s": overhead["store_secs"],
             "checkpoint_overhead_ratio": overhead["ratio"],
+            "overhead_pairs": overhead["pairs"],
             "checkpoint_call_s": overhead["checkpoint_secs"],
         },
     ]

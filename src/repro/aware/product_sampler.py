@@ -1,9 +1,9 @@
 """Product-structure aware sampling (paper Section 4).
 
 Pipeline: compute IPPS probabilities; set aside every key with
-probability one; build the KD-HIERARCHY over the fractional keys; apply
-the hierarchy aggregation rule bottom-up over the kd-tree (children
-resolve first, parents pair-aggregate the leftovers).  Probability mass
+probability one; build the KD-HIERARCHY over the fractional keys as
+flat arrays; resolve all leaf pools in one segmented chain pass, then
+pair-aggregate the leftovers bottom-up over the node arrays.  Mass
 then only moves between keys that are close in the kd partition, so a
 box query's error comes only from the O(d s^((d-1)/d)) boundary cells
 (Lemmas 6-7).
@@ -15,7 +15,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.aware.kd import KDNode, build_kd_hierarchy, kd_leaves
+from repro.aware.kd import KDTree, build_kd_tree
 from repro.core.aggregation import (
     aggregate_pool,
     finalize_leftover,
@@ -25,64 +25,40 @@ from repro.core.aggregation import (
 from repro.core.chain import segmented_chain_aggregate
 from repro.core.estimator import SampleSummary
 from repro.core.ipps import ipps_probabilities
+from repro.core.segments import segment_layout
 from repro.core.types import Dataset
 
 
 def fold_kd_leftovers(
-    root: KDNode,
+    tree: KDTree,
     leaf_leftovers: np.ndarray,
     p: np.ndarray,
     rng: np.random.Generator,
 ) -> Optional[int]:
     """Bottom-up leftover aggregation over a kd-tree, children first.
 
-    ``leaf_leftovers[cell_id]`` is each leaf's resolved leftover index
-    into ``p`` (``-1`` for none).  A post-order walk with an explicit
-    stack pair-aggregates every internal node's surviving child
-    leftovers.  Returns the final leftover index into ``p`` (or None).
+    ``leaf_leftovers[cell_id]`` is each leaf's leftover index into
+    ``p`` (-1 for none).  Internal nodes pair-aggregate their surviving
+    child leftovers in the recursion's post-order (right, left, node:
+    the reversed left-first pre-order).  Returns the final leftover.
     """
-    stack = [(root, False)]
-    leftover_of = {}
+    leftover = np.full(tree.child.size, -1, dtype=np.int64)
+    leftover[tree.leaves] = leaf_leftovers
+    child = tree.child.tolist()
+    preorder, stack = [], [0]
     while stack:
-        current, visited = stack.pop()
-        if current.is_leaf:
-            leftover = int(leaf_leftovers[current.cell_id])
-            leftover_of[id(current)] = None if leftover < 0 else leftover
-            continue
-        if not visited:
-            stack.append((current, True))
-            stack.append((current.left, False))
-            stack.append((current.right, False))
-            continue
+        node = stack.pop()
+        if child[node] >= 0:
+            preorder.append(node)
+            stack += (child[node] + 1, child[node])
+    for node in reversed(preorder):
         pool = [
-            leftover_of.pop(id(current.left), None),
-            leftover_of.pop(id(current.right), None),
+            idx for idx in leftover[child[node]:child[node] + 2].tolist()
+            if idx >= 0 and not is_set(float(p[idx]))
         ]
-        pool = [idx for idx in pool if idx is not None and not is_set(float(p[idx]))]
-        leftover_of[id(current)] = aggregate_pool(p, pool, rng)
-    return leftover_of.pop(id(root), None)
-
-
-def _aggregate_kd_batched(
-    node: KDNode,
-    p: np.ndarray,
-    index_map: np.ndarray,
-    rng: np.random.Generator,
-) -> Optional[int]:
-    """Leaf-batched bottom-up aggregation over a kd-tree.
-
-    All leaf pools -- the O(n) bulk of the work -- resolve in one
-    segmented chain pass; the bottom-up walk then only pair-aggregates
-    the O(#nodes) per-child leftovers.  ``index_map`` translates the
-    tree's local point indices to positions in the probability vector
-    ``p``.
-    """
-    leaves = kd_leaves(node)
-    sizes = np.asarray([leaf.indices.size for leaf in leaves], dtype=np.int64)
-    pool = index_map[np.concatenate([leaf.indices for leaf in leaves])]
-    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-    leftovers = segmented_chain_aggregate(p, pool, starts, rng)
-    return fold_kd_leftovers(node, leftovers, p, rng)
+        kept = aggregate_pool(p, pool, rng)
+        leftover[node] = -1 if kept is None else kept
+    return None if leftover[0] < 0 else int(leftover[0])
 
 
 def product_aware_sample(
@@ -98,7 +74,7 @@ def product_aware_sample(
 
     Returns ``(included, tau, probs)`` as in the 1-D aware samplers.
     ``leaf_mass`` and ``split_rule`` are forwarded to
-    :func:`repro.aware.kd.build_kd_hierarchy` (exposed for ablations).
+    :func:`repro.aware.kd.build_kd_tree` (exposed for ablations).
 
     Raises
     ------
@@ -114,14 +90,21 @@ def product_aware_sample(
     p_initial = p.copy()
     fractional = np.flatnonzero((p > 0.0) & (p < 1.0))
     if fractional.size:
-        tree = build_kd_hierarchy(
+        tree = build_kd_tree(
             coords[fractional],
             p[fractional],
             domain=domain,
             leaf_mass=leaf_mass,
             split_rule=split_rule,
         )
-        leftover = _aggregate_kd_batched(tree, p, fractional, rng)
+        # All leaf pools -- the O(n) bulk -- resolve in one segmented
+        # chain pass; the fold pair-aggregates the per-node leftovers.
+        start = tree.start[tree.leaves]
+        pos, _, offsets = segment_layout(start, tree.end[tree.leaves] - start)
+        leftovers = segmented_chain_aggregate(
+            p, fractional[tree.rows[pos]], offsets, rng
+        )
+        leftover = fold_kd_leftovers(tree, leftovers, p, rng)
         finalize_leftover(p, leftover, rng)
     return included_indices(p), tau, p_initial
 

@@ -904,11 +904,12 @@ class DistributedIngest:
         """Route one micro-batch to the next slice (round-robin).
 
         Accepts every batch shape :class:`~repro.stream.MicroBatch`
-        coerces.  Timestamps ride along; with a ``window`` spec the
-        worker-side engines use them for pane assignment, without one
-        the workers keep landmark (all-time) state.
+        coerces; keys off the domain raise before routing.  With a
+        ``window`` spec the worker-side engines use the timestamps for
+        pane assignment, without one the workers keep landmark state.
         """
         batch = MicroBatch.coerce(batch)
+        self._domain.validate_coords(batch.coords)
         slices = [
             sl for sl in self._slices
             if self._recovery != "none" or self._live_hosts(sl)

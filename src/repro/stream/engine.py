@@ -256,9 +256,9 @@ class StreamEngine:
 
         With a checkpoint store attached the batch is logged *before*
         it is processed: once this method has been entered, the batch
-        is recoverable even if the process dies mid-update.  Late
-        (out-of-order) batches are rejected before the log, so the
-        write-ahead log replays cleanly.
+        is recoverable even if the process dies mid-update.  Keys off
+        the domain and late batches are rejected before the log, so
+        the write-ahead log replays cleanly.
         """
         if self._ckpt_lock is not None:
             with self._ckpt_lock:
@@ -268,6 +268,7 @@ class StreamEngine:
 
     def _process_batch(self, batch) -> None:
         batch = MicroBatch.coerce(batch)
+        self._domain.validate_coords(batch.coords)
         if self._store is not None:
             self._check_on_time(batch)
             self._log_batch(batch)

@@ -6,7 +6,8 @@ divided "on each dimension in turn" at dyadic midpoints, materializing
 the heavy regions.  We drive the division greedily -- always split the
 heaviest splittable leaf -- until the node budget is reached, which
 adapts the resolution to the weight distribution exactly as retaining
-heavy ranges does.
+heavy ranges does.  The build expands the splitting tree in array
+passes and replays the heap loop (``tests/oracles.py``) over it.
 
 Queries sum fully-contained leaves exactly and spread a partially
 overlapped leaf's weight uniformly over its box (the classic histogram
@@ -17,24 +18,140 @@ boundary leaves.
 from __future__ import annotations
 
 import heapq
-import itertools
-from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List
 
 import numpy as np
 
+from repro.core.segments import segment_layout, segment_sums, stable_partition
 from repro.core.types import Dataset
 from repro.structures.ranges import Box, MultiRangeQuery
 from repro.summaries.base import Summary, battery_plans
 
 
-@dataclass
-class _Cell:
-    """A materialized leaf: a dyadic box and the weight of keys inside."""
+def _expand(coords, weights, lows, highs, s, floor):
+    """The greedy build's splitting tree, expanded where pops can reach.
 
-    box: Box
-    weight: float
-    indices: np.ndarray  # rows of the build data inside the box
+    Each cell expands as its pop would: while its points sit on one
+    side of the dyadic midpoint the box shrinks to that half, cycling
+    the axes from the cell's depth, then it splits (children get the
+    popped depth + 1).  Only each axis' point min/max is needed, and
+    every cell in flight halves once per pass.  Pops come in
+    non-increasing weight and each splittable pop adds a leaf, so cells
+    lighter than the ``(s - 1)``-th heaviest splittable cell found are
+    never popped and stay unexpanded, unless at least ``floor`` heavy.
+
+    Returns per-cell weight, pushed box lows/highs, point min/max and
+    first child id (-1 if unsplit); the root is cell 0.
+    """
+    n, dims = coords.shape
+    flat, rows = coords.ravel(), np.arange(n)
+    root = (np.array([weights.sum()]), lows[None], highs[None],
+            coords.min(axis=0)[None], coords.max(axis=0)[None])
+    store, parents, firsts, next_id = [root], [], [], 1
+    ids = np.flatnonzero((root[3] < root[4]).any(axis=1))
+    weight, cur_lo, cur_hi, mn, mx = (part[ids] for part in root)
+    top = weight
+    t = depth = start = np.zeros(ids.size, dtype=np.int64)
+    length = np.full(ids.size, n)
+    while ids.size:
+        cut = min(top.min() if top.size >= s - 1 else -np.inf, floor)
+        live = weight >= cut
+        ids, weight, cur_lo, cur_hi, t, depth, mn, mx, start, length = (
+            a[live] for a in (
+                ids, weight, cur_lo, cur_hi, t, depth, mn, mx, start, length
+            )
+        )
+        r = np.arange(ids.size)
+        ax = t % dims
+        for k in range(1, dims):  # first axis from t % dims with lo < hi
+            ax = np.where(cur_lo[r, ax] < cur_hi[r, ax], ax, (t + k) % dims)
+        lo, hi = cur_lo[r, ax], cur_hi[r, ax]
+        mid = lo + ((hi - lo) >> 1)
+        to_left, to_right = mx[r, ax] <= mid, mn[r, ax] > mid
+        cur_hi[r[to_left], ax[to_left]] = mid[to_left]
+        cur_lo[r[to_right], ax[to_right]] = mid[to_right] + 1
+        t = t + 1
+        shrunk = to_left | to_right
+        sp = np.flatnonzero(~shrunk)
+        pos, seg, off = segment_layout(start[sp], length[sp])
+        moved = rows[pos]
+        left = flat[moved * dims + ax[sp][seg]] <= mid[sp][seg]
+        dest, n_left = stable_partition(left, seg, off)
+        moved[dest] = moved.copy()
+        rows[pos] = moved
+        c_off = np.column_stack((off, off + n_left)).ravel()
+        c_len = np.column_stack((n_left, length[sp] - n_left)).ravel()
+        c_weight = segment_sums(weights[moved], c_off, c_len)
+        points = coords[moved]
+        c_mn = np.minimum.reduceat(points, c_off, axis=0)
+        c_mx = np.maximum.reduceat(points, c_off, axis=0)
+        c_lo, c_hi = (np.repeat(b[sp], 2, axis=0) for b in (cur_lo, cur_hi))
+        pair = 2 * np.arange(sp.size)
+        c_hi[pair, ax[sp]] = mid[sp]
+        c_lo[pair + 1, ax[sp]] = mid[sp] + 1
+        c_ids = next_id + np.arange(c_len.size)
+        next_id += c_len.size
+        store.append((c_weight, c_lo, c_hi, c_mn, c_mx))
+        parents.append(ids[sp])
+        firsts.append(c_ids[0::2])
+        grow = np.flatnonzero((c_mn < c_mx).any(axis=1))
+        top = np.concatenate((top, c_weight[grow]))
+        if top.size > s - 1:
+            top = np.partition(top, top.size - (s - 1))[top.size - (s - 1):]
+        c_depth = np.repeat(depth[sp] + 1, 2)
+        c_start = np.column_stack((start[sp], start[sp] + n_left)).ravel()
+        ids, weight, cur_lo, cur_hi, t, depth, mn, mx, start, length = (
+            np.concatenate((a[shrunk], b[grow])) for a, b in (
+                (ids, c_ids), (weight, c_weight), (cur_lo, c_lo),
+                (cur_hi, c_hi), (t, c_depth), (depth, c_depth), (mn, c_mn),
+                (mx, c_mx), (start, c_start), (length, c_len),
+            )
+        )
+    child = np.full(next_id, -1, dtype=np.int64)
+    if parents:
+        child[np.concatenate(parents)] = np.concatenate(firsts)
+    return (*(np.concatenate(column) for column in zip(*store)), child)
+
+
+def _digest_leaves(coords, weights, lows, highs, s):
+    """The greedy build's leaves ``(box_lows, box_highs, weights)``.
+
+    The heap loop (pop the heaviest leaf, ties by insertion counter;
+    push its children) replays over ``(-weight, counter, cell)`` tuples
+    on the :func:`_expand` tree.  Leaves: the popped unsplittable cells
+    (shrunk to their point), then the heap list, in order.
+    """
+    if coords.shape[0] == 0 or s < 2:  # s == 1: whole; empty: low corner
+        corner = highs if s < 2 else lows
+        return lows[None], corner[None], np.array([weights.sum()], float)
+    floor = np.inf
+    while True:
+        weight, box_lo, box_hi, mn, mx, child = _expand(
+            coords, weights, lows, highs, s, floor
+        )
+        w, first = weight.tolist(), child.tolist()
+        splittable = (mn < mx).any(axis=1).tolist()
+        heap, counter, done = [(-w[0], 0, 0)], 1, []
+        while heap and len(heap) + len(done) < s:
+            cell = heapq.heappop(heap)[2]
+            if not splittable[cell]:
+                done.append(cell)
+            elif first[cell] < 0:
+                break  # pruned by a rounding-inverted weight: expand more
+            else:
+                kid = first[cell]
+                heapq.heappush(heap, (-w[kid], counter, kid))
+                heapq.heappush(heap, (-w[kid + 1], counter + 1, kid + 1))
+                counter += 2
+        else:
+            leaves = np.asarray(done + [entry[2] for entry in heap])
+            popped = (np.arange(leaves.size) < len(done))[:, None]
+            return (
+                np.where(popped, mn[leaves], box_lo[leaves]),
+                np.where(popped, mx[leaves], box_hi[leaves]),
+                weight[leaves],
+            )
+        floor = w[cell]
 
 
 class QDigestSummary(Summary):
@@ -61,97 +178,26 @@ class QDigestSummary(Summary):
             raise ValueError(f"unknown partial mode: {partial}")
         self._partial = partial
         self._dims = dataset.dims
-        coords = dataset.coords
-        weights = dataset.weights
-        root = _Cell(
-            box=dataset.domain.full_box(),
-            weight=float(weights.sum()),
-            indices=np.arange(dataset.n),
-        )
-        # Max-heap on weight; tiebreaker by insertion counter.
-        counter = itertools.count()
-        heap: List[Tuple[float, int, int, _Cell]] = [
-            (-root.weight, next(counter), 0, root)
-        ]
-        done: List[_Cell] = []
-        while heap and len(heap) + len(done) < s:
-            neg_w, _tick, depth, cell = heapq.heappop(heap)
-            children = self._split_cell(cell, depth, coords, weights)
-            if children is None:
-                done.append(cell)
-                continue
-            for child in children:
-                if child.indices.size:
-                    heapq.heappush(
-                        heap, (-child.weight, next(counter), depth + 1, child)
-                    )
-        leaves = done + [entry[3] for entry in heap]
-        self._boxes = [cell.box for cell in leaves]
-        self._weights = np.asarray([cell.weight for cell in leaves])
-        self._lows = np.asarray(
-            [cell.box.lows for cell in leaves], dtype=float
-        ).reshape(len(leaves), self._dims)
-        self._highs = np.asarray(
-            [cell.box.highs for cell in leaves], dtype=float
-        ).reshape(len(leaves), self._dims)
+        box = dataset.domain.full_box()
+        lows, highs = (np.array(b, np.int64) for b in (box.lows, box.highs))
+        self._set_leaves(*_digest_leaves(
+            dataset.coords, dataset.weights, lows, highs, s
+        ))
+
+    def _set_leaves(self, box_lows, box_highs, weights) -> None:
+        """Install the leaves: int64 box bounds and float weights."""
+        n = weights.shape[0]
+        self._box_lows = box_lows.reshape(n, self._dims)
+        self._box_highs = box_highs.reshape(n, self._dims)
+        self._weights = np.asarray(weights, dtype=float)
+        self._lows = self._box_lows.astype(float)
+        self._highs = self._box_highs.astype(float)
         self._volumes = np.prod(self._highs - self._lows + 1.0, axis=1)
-
-    def _split_cell(
-        self,
-        cell: _Cell,
-        depth: int,
-        coords: np.ndarray,
-        weights: np.ndarray,
-    ) -> Optional[List[_Cell]]:
-        """Split a leaf at the dyadic midpoint, cycling the axes.
-
-        Empty halves are skipped for free: the cell's box shrinks in
-        place to the occupied half (so a single remaining point ends up
-        in its exact 1x1 cell).  Returns ``None`` when the box cannot be
-        halved with points on both sides of any axis.
-        """
-        while True:
-            progressed = False
-            for offset in range(self._dims):
-                axis = (depth + offset) % self._dims
-                lo, hi = cell.box.side(axis)
-                if lo >= hi:
-                    continue
-                mid = lo + ((hi - lo) >> 1)
-                values = coords[cell.indices, axis]
-                left_mask = values <= mid
-                left_box, right_box = cell.box.split(axis, mid)
-                if left_mask.all():
-                    cell.box = left_box
-                    depth += 1
-                    progressed = True
-                    break
-                if not left_mask.any():
-                    cell.box = right_box
-                    depth += 1
-                    progressed = True
-                    break
-                left_idx = cell.indices[left_mask]
-                right_idx = cell.indices[~left_mask]
-                return [
-                    _Cell(
-                        box=left_box,
-                        weight=float(weights[left_idx].sum()),
-                        indices=left_idx,
-                    ),
-                    _Cell(
-                        box=right_box,
-                        weight=float(weights[right_idx].sum()),
-                        indices=right_idx,
-                    ),
-                ]
-            if not progressed:
-                return None
 
     @property
     def size(self) -> int:
         """Number of materialized nodes."""
-        return len(self._boxes)
+        return self._weights.shape[0]
 
     def _fractions(self, overlap_volume: np.ndarray) -> np.ndarray:
         """Per-leaf contribution fractions from overlap volumes.
@@ -168,22 +214,24 @@ class QDigestSummary(Summary):
             fractions += 0.5 * boundary
         return fractions
 
+    def _overlap_volume(self, box: Box) -> np.ndarray:
+        """Each leaf's volume of overlap with ``box``."""
+        overlap = (
+            np.minimum(self._highs, np.asarray(box.highs, dtype=float))
+            - np.maximum(self._lows, np.asarray(box.lows, dtype=float))
+            + 1.0
+        )
+        np.clip(overlap, 0.0, None, out=overlap)
+        return np.prod(overlap, axis=1)
+
     def query(self, box: Box) -> float:
         """Range-sum estimate (see ``partial`` in the class docstring).
 
         Vectorized over all leaves: fully contained cells contribute
         their weight; boundary cells contribute per the partial mode.
         """
-        q_lows = np.asarray(box.lows, dtype=float)
-        q_highs = np.asarray(box.highs, dtype=float)
-        overlap = (
-            np.minimum(self._highs, q_highs)
-            - np.maximum(self._lows, q_lows)
-            + 1.0
-        )
-        np.clip(overlap, 0.0, None, out=overlap)
-        overlap_volume = np.prod(overlap, axis=1)
-        return float((self._weights * self._fractions(overlap_volume)).sum())
+        fractions = self._fractions(self._overlap_volume(box))
+        return float((self._weights * fractions).sum())
 
     def _sorted_1d(self):
         """Sorted-leaf arrays for the 1-D prefix fast path (lazy memo).
@@ -332,11 +380,11 @@ class QDigestSummary(Summary):
         merged = object.__new__(QDigestSummary)
         merged._partial = self._partial
         merged._dims = self._dims
-        merged._boxes = self._boxes + other._boxes
-        merged._weights = np.concatenate((self._weights, other._weights))
-        merged._lows = np.concatenate((self._lows, other._lows), axis=0)
-        merged._highs = np.concatenate((self._highs, other._highs), axis=0)
-        merged._volumes = np.concatenate((self._volumes, other._volumes))
+        merged._set_leaves(
+            np.concatenate((self._box_lows, other._box_lows)),
+            np.concatenate((self._box_highs, other._box_highs)),
+            np.concatenate((self._weights, other._weights)),
+        )
         return merged
 
     # ------------------------------------------------------------------
@@ -344,18 +392,11 @@ class QDigestSummary(Summary):
     # ------------------------------------------------------------------
     def to_state(self) -> dict:
         """The materialized leaves as codec-friendly primitives."""
-        n = len(self._boxes)
-        box_lows = np.asarray(
-            [box.lows for box in self._boxes], dtype=np.int64
-        ).reshape(n, self._dims)
-        box_highs = np.asarray(
-            [box.highs for box in self._boxes], dtype=np.int64
-        ).reshape(n, self._dims)
         return {
             "partial": self._partial,
             "dims": self._dims,
-            "box_lows": box_lows,
-            "box_highs": box_highs,
+            "box_lows": self._box_lows,
+            "box_highs": self._box_highs,
             "weights": self._weights,
         }
 
@@ -365,34 +406,16 @@ class QDigestSummary(Summary):
         digest = object.__new__(cls)
         digest._partial = state["partial"]
         digest._dims = int(state["dims"])
-        box_lows = state["box_lows"]
-        box_highs = state["box_highs"]
-        digest._boxes = [
-            Box(tuple(int(v) for v in lo), tuple(int(v) for v in hi))
-            for lo, hi in zip(box_lows, box_highs)
-        ]
-        digest._weights = np.asarray(state["weights"], dtype=float)
-        n = len(digest._boxes)
-        digest._lows = box_lows.astype(float).reshape(n, digest._dims)
-        digest._highs = box_highs.astype(float).reshape(n, digest._dims)
-        digest._volumes = np.prod(
-            digest._highs - digest._lows + 1.0, axis=1
+        digest._set_leaves(
+            np.asarray(state["box_lows"], dtype=np.int64),
+            np.asarray(state["box_highs"], dtype=np.int64),
+            state["weights"],
         )
         return digest
 
     def query_bounds(self, box: Box):
         """Deterministic (lower, upper) bounds on the true range sum."""
-        q_lows = np.asarray(box.lows, dtype=float)
-        q_highs = np.asarray(box.highs, dtype=float)
-        overlap = (
-            np.minimum(self._highs, q_highs)
-            - np.maximum(self._lows, q_lows)
-            + 1.0
-        )
-        np.clip(overlap, 0.0, None, out=overlap)
-        overlap_volume = np.prod(overlap, axis=1)
-        contained = overlap_volume >= self._volumes
-        intersecting = overlap_volume > 0
-        lower = float(self._weights[contained].sum())
-        upper = float(self._weights[intersecting].sum())
+        overlap_volume = self._overlap_volume(box)
+        lower = float(self._weights[overlap_volume >= self._volumes].sum())
+        upper = float(self._weights[overlap_volume > 0].sum())
         return lower, upper

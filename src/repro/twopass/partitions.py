@@ -2,20 +2,21 @@
 
 Each partition maps keys to cells so IO-AGGREGATE can co-locate
 nearby keys -- ``cell_codes(coords)`` for a whole batch, ``cell_of(key)``
-for one key -- and keeps enough structure for the final aggregation of
-active keys.  With a guide sample of size
-Omega(s log s), every cell has probability mass <= 1 w.h.p. (it is an
+for one key -- and keeps enough structure (the kd partition as flat
+node arrays) for the final aggregation of active keys.  With a guide
+sample of size Omega(s log s), every cell has mass <= 1 w.h.p. (it is an
 eps-net of the range space), which is what bounds the two-pass
 discrepancy.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.aware.kd import KDNode, build_kd_hierarchy, kd_cell_ids
+from repro.aware.kd import KDNode, KDTree, build_kd_tree
 from repro.structures.hierarchy import RadixHierarchy
 from repro.structures.product import ProductDomain
 
@@ -54,7 +55,10 @@ class OrderPartition:
 
 
 class KDPartition:
-    """Leaves of a kd-tree built over the guide sample (product domains)."""
+    """Leaves of a kd-tree built over the guide sample (product domains).
+
+    Kept as flat arrays (``kd``); ``tree`` links nodes on first use.
+    """
 
     def __init__(
         self,
@@ -66,13 +70,18 @@ class KDPartition:
         guide_coords = np.atleast_2d(np.asarray(guide_coords))
         if guide_coords.shape[0] == 0:
             raise ValueError("guide sample is empty; cannot build partition")
-        self.tree: KDNode = build_kd_hierarchy(
+        self.kd: KDTree = build_kd_tree(
             guide_coords,
             np.asarray(guide_probs, dtype=float),
             domain=domain,
             leaf_mass=1.0,
             split_rule=split_rule,
         )
+
+    @cached_property
+    def tree(self) -> KDNode:
+        """The partition's kd tree as linked nodes (built on first use)."""
+        return self.kd.root()
 
     def cell_of(self, key: Tuple[int, ...]) -> int:
         """Leaf cell id containing the key."""
@@ -81,10 +90,10 @@ class KDPartition:
     def cell_codes(self, coords: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`cell_of` over a coordinate batch.
 
-        Returns the same leaf cell ids as the per-key walk (one boolean
-        mask per tree node instead of one descent per point).
+        Returns the same leaf cell ids as the per-key walk; all keys
+        descend the tree's node arrays together, one depth per pass.
         """
-        return kd_cell_ids(self.tree, coords)
+        return self.kd.cell_ids(coords)
 
 
 class HierarchyAncestorPartition:

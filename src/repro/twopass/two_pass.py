@@ -3,26 +3,25 @@
 Pass 1 computes the exact threshold tau_s (Algorithm 4) and draws a
 structure-oblivious guide sample S' of size ``s_prime_factor * s``
 (the paper's experiments use factor 5).  The guide sample induces a
-partition of the domain; pass 2 runs IO-AGGREGATE over that partition;
-finally the surviving active keys are aggregated following the
-structure, yielding a VarOpt_s sample whose range discrepancy matches
-the main-memory algorithms w.h.p.
+partition of the domain (a flat kd tree on product domains); pass 2
+runs IO-AGGREGATE over it; the surviving active keys then aggregate
+along the structure, one chain call per kd depth, yielding a VarOpt_s
+sample whose range discrepancy matches the main-memory algorithms w.h.p.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from repro import obs as _obs
 from repro.aware.hierarchy_sampler import aggregate_hierarchy_levels
-from repro.aware.kd import KDNode
+from repro.aware.kd import KDTree
 from repro.core.aggregation import (
     SET_EPS,
     finalize_leftover,
     included_indices,
-    is_set,
 )
 from repro.core.chain import chain_aggregate, segmented_chain_aggregate
 from repro.core.estimator import SampleSummary
@@ -39,60 +38,35 @@ from repro.twopass.partitions import (
 )
 
 
-def _aggregate_tree_cells_batched(
-    root: KDNode,
-    cell_to_index: dict,
+def _fold_kd_cells(
+    tree: KDTree,
+    codes: np.ndarray,
     p: np.ndarray,
     rng: np.random.Generator,
 ) -> Optional[int]:
     """Level-batched bottom-up aggregation of one record per kd cell.
 
-    Every internal node pair-aggregates its two children's surviving
-    leftovers, children before parents, and all internal nodes of one
-    depth resolve in a *single*
-    :func:`~repro.core.chain.segmented_chain_aggregate` call (their
-    pools are independent two-entry segments), so the walk costs one
-    kernel call per tree level instead of one pair aggregation per
-    node.  The distribution is that of the per-node walk (the oracle
-    in ``tests/oracles.py``); only the RNG consumption order differs.
+    ``codes[i]`` is record ``i``'s cell.  Internal nodes pair-aggregate
+    their children's surviving leftovers, deepest first, one
+    :func:`~repro.core.chain.segmented_chain_aggregate` call per depth
+    over its nodes right to left (the recursion's stack order).  The
+    distribution is the per-node walk's (``tests/oracles.py``).
     """
-    by_depth: List[List[KDNode]] = []
-    stack: List[Tuple[KDNode, int]] = [(root, 0)]
-    while stack:
-        node, depth = stack.pop()
-        if depth == len(by_depth):
-            by_depth.append([])
-        by_depth[depth].append(node)
-        if not node.is_leaf:
-            stack.append((node.left, depth + 1))
-            stack.append((node.right, depth + 1))
-    leftover_of = {}
-    for depth in range(len(by_depth) - 1, -1, -1):
-        internal: List[KDNode] = []
-        for node in by_depth[depth]:
-            if node.is_leaf:
-                idx = cell_to_index.get(node.cell_id)
-                leftover_of[id(node)] = (
-                    None if idx is None or is_set(float(p[idx])) else idx
-                )
-            else:
-                internal.append(node)
-        if not internal:
-            continue
-        pool: List[int] = []
-        starts = np.empty(len(internal), dtype=np.int64)
-        for i, node in enumerate(internal):
-            starts[i] = len(pool)
-            for child in (node.left, node.right):
-                idx = leftover_of.pop(id(child), None)
-                if idx is not None and not is_set(float(p[idx])):
-                    pool.append(idx)
-        leftovers = segmented_chain_aggregate(
-            p, np.asarray(pool, dtype=np.int64), starts, rng
+    leftover = np.full(tree.child.size, -1, dtype=np.int64)
+    fractional = (p > SET_EPS) & (p < 1.0 - SET_EPS)
+    leftover[tree.leaves[codes[fractional]]] = np.flatnonzero(fractional)
+    bounds = tree.depth_starts.tolist()
+    for depth in range(len(bounds) - 2, -1, -1):
+        nodes = np.arange(bounds[depth + 1] - 1, bounds[depth] - 1, -1)
+        nodes = nodes[tree.child[nodes] >= 0]
+        kids = leftover[tree.child[nodes][:, None] + np.arange(2)]
+        q = p[kids]
+        live = (kids >= 0) & (q > SET_EPS) & (q < 1.0 - SET_EPS)
+        counts = live.sum(axis=1)
+        leftover[nodes] = segmented_chain_aggregate(
+            p, kids[live], np.cumsum(counts) - counts, rng
         )
-        for node, leftover in zip(internal, leftovers):
-            leftover_of[id(node)] = None if leftover < 0 else int(leftover)
-    return leftover_of.get(id(root))
+    return None if leftover[0] < 0 else int(leftover[0])
 
 
 class TwoPassSampler:
@@ -286,10 +260,7 @@ class TwoPassSampler:
         p = probs.copy()
         if kind == "kd":
             # KD cell codes are the leaf cell ids themselves.
-            cell_to_index = {int(code): i for i, code in enumerate(codes)}
-            leftover = _aggregate_tree_cells_batched(
-                partition.tree, cell_to_index, p, rng
-            )
+            leftover = _fold_kd_cells(partition.kd, codes, p, rng)
         elif kind == "ancestor":
             keys = dataset.coords[rows, 0]
             order = np.argsort(keys, kind="stable")

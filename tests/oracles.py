@@ -19,10 +19,17 @@ same public inputs as the production samplers, whose vectorized
 kernels realize the same distributions with a different RNG
 consumption order.  ``tests/test_kernel_equivalence.py`` and
 ``tests/test_twopass.py`` compare the two statistically;
-``tests/test_kd.py`` pins the level-synchronous kd build to the
-recursion node for node.
+``tests/test_kd.py`` and ``tests/test_tree_build_oracles.py`` pin the
+array-native kd build to the recursion node for node.
+
+The batch q-digest's greedy build lives here as its heap loop, one pop
+and one ``Box`` split at a time (``qdigest_leaves``);
+``tests/test_tree_build_oracles.py`` compares the array-native build's
+leaves with it bitwise.
 """
 
+import heapq
+import itertools
 from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
@@ -632,6 +639,90 @@ def product_aware_sample(
         leftover = aggregate_kd(tree, p, fractional, rng)
         finalize_leftover(p, leftover, rng)
     return included_indices(p), tau, p_initial
+
+
+# ----------------------------------------------------------------------
+# Batch q-digest: the greedy heavy-first split, one heap pop at a time
+# ----------------------------------------------------------------------
+def _split_qdigest_cell(cell, depth, coords, weights, dims):
+    """Split a leaf at the dyadic midpoint, cycling the axes.
+
+    Empty halves are skipped for free: the cell's box shrinks in place
+    to the occupied half (so a single remaining point ends up in its
+    exact 1x1 cell).  Returns ``None`` when the box cannot be halved
+    with points on both sides of any axis.
+    """
+    while True:
+        progressed = False
+        for offset in range(dims):
+            axis = (depth + offset) % dims
+            lo, hi = cell["box"].side(axis)
+            if lo >= hi:
+                continue
+            mid = lo + ((hi - lo) >> 1)
+            values = coords[cell["indices"], axis]
+            left_mask = values <= mid
+            left_box, right_box = cell["box"].split(axis, mid)
+            if left_mask.all():
+                cell["box"] = left_box
+                depth += 1
+                progressed = True
+                break
+            if not left_mask.any():
+                cell["box"] = right_box
+                depth += 1
+                progressed = True
+                break
+            left_idx = cell["indices"][left_mask]
+            right_idx = cell["indices"][~left_mask]
+            return [
+                {"box": left_box, "weight": float(weights[left_idx].sum()),
+                 "indices": left_idx},
+                {"box": right_box, "weight": float(weights[right_idx].sum()),
+                 "indices": right_idx},
+            ]
+        if not progressed:
+            return None
+
+
+def qdigest_leaves(dataset, s: int):
+    """The batch q-digest's leaves as ``(lows, highs, weights)``.
+
+    The greedy build as written: a max-heap on weight (ties by
+    insertion counter) pops the heaviest leaf and splits it until the
+    node budget ``s`` is reached; leaves are the popped unsplittable
+    cells, then the heap list in its order.  Boxes come back as int64
+    ``(L, d)`` arrays, in leaf order.
+    """
+    coords, weights = dataset.coords, dataset.weights
+    dims = dataset.dims
+    root = {
+        "box": dataset.domain.full_box(),
+        "weight": float(weights.sum()),
+        "indices": np.arange(dataset.n),
+    }
+    counter = itertools.count()
+    heap = [(-root["weight"], next(counter), 0, root)]
+    done = []
+    while heap and len(heap) + len(done) < s:
+        _neg_w, _tick, depth, cell = heapq.heappop(heap)
+        children = _split_qdigest_cell(cell, depth, coords, weights, dims)
+        if children is None:
+            done.append(cell)
+            continue
+        for child in children:
+            if child["indices"].size:
+                heapq.heappush(
+                    heap, (-child["weight"], next(counter), depth + 1, child)
+                )
+    leaves = done + [entry[3] for entry in heap]
+    lows = np.asarray([c["box"].lows for c in leaves], dtype=np.int64)
+    highs = np.asarray([c["box"].highs for c in leaves], dtype=np.int64)
+    return (
+        lows.reshape(len(leaves), dims),
+        highs.reshape(len(leaves), dims),
+        np.asarray([c["weight"] for c in leaves], dtype=float),
+    )
 
 
 # ----------------------------------------------------------------------

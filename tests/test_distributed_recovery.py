@@ -89,6 +89,34 @@ class TestBadWeightsRejected:
             ingest.close()
 
 
+class TestOutOfDomainRejected:
+    @pytest.mark.parametrize(
+        "keys", [[[DOMAIN_SIZE]], [[-3]], [[1, 2]]],
+        ids=["out-of-range", "negative", "wrong-dimension"],
+    )
+    def test_bad_batch_never_reaches_a_worker(self, keys):
+        # Refused before routing: no worker absorbs it, so no later
+        # snapshot fails and the fleet answers as if it never came.
+        baseline = run_fleet("inprocess", 3, num_workers=2, n_batches=6)
+        ingest = DistributedIngest(
+            domain(), METHODS, 48, transport="inprocess",
+            num_workers=2, seed=3, recovery="replay",
+        )
+        try:
+            for i, batch in enumerate(batches(3, n_batches=6)):
+                if i == 3:
+                    with pytest.raises(
+                        ValueError, match="out of range|must have shape"
+                    ):
+                        ingest.process(
+                            (np.array(keys), np.ones(len(keys)), float(i))
+                        )
+                ingest.process(batch)
+            assert ingest.query_many_now(QUERIES) == baseline
+        finally:
+            ingest.close()
+
+
 class TestReplayRecovery:
     @pytest.mark.parametrize("seed", range(30))
     def test_kill_mid_stream_bit_identical_inprocess(self, seed):

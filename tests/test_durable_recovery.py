@@ -263,6 +263,39 @@ class TestBadWeightsRejected:
         store.close()
 
 
+class TestOutOfDomainRejected:
+    """A key outside the domain, or of the wrong dimension, is refused
+    before the log.
+
+    Logged, it would be absorbed by the reservoirs and then make every
+    buffered rebuild raise "coordinates out of range": every later
+    snapshot, and every restore's replay, would fail.
+    """
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize(
+        "keys", [[[100, -3]], [[5, 64]], [[1], [2]]],
+        ids=["out-of-range", "one-past-edge", "wrong-dimension"],
+    )
+    def test_rejected_before_logging(self, backend, keys, tmp_path):
+        square = ProductDomain([OrderedDomain(64), OrderedDomain(64)])
+        store = make_store(backend, tmp_path)
+        engine = StreamEngine(
+            square, ["obliv", "aware", "qdigest"], 16, seed=1,
+            store=store, stream_id="s",
+        )
+        rng = np.random.default_rng(0)
+        engine.process(MicroBatch(rng.integers(0, 64, (40, 2)), np.ones(40)))
+        logged = [(r.seq, r.kind) for r in store.records("s")]
+        with pytest.raises(ValueError, match="out of range|must have shape"):
+            engine.process(MicroBatch(np.array(keys), np.ones(len(keys))))
+        assert [(r.seq, r.kind) for r in store.records("s")] == logged
+        assert engine.items_seen == 40
+        restored = StreamEngine.restore(store, "s")
+        assert frames(restored) == frames(engine)
+        store.close()
+
+
 class TestLateItemsSatellite:
     def test_rejected_with_pane_and_timestamp(self):
         window = tumbling(4.0)
