@@ -19,6 +19,12 @@ and 80k items, against the two-pass oracle and the q-digest's heap
 loop (whose leaves the array build must reproduce bit for bit).  They
 are recorded without a speedup gate: the heap loop's cost follows the
 node budget, not the pane size.
+
+The ``stream*:qdigest-stream`` record times the streaming q-digest a
+serve-fresh setup builds (300k Pareto(1.2) items over 2^20 keys, s=3000,
+so bits=20 and k=150) through the array build and through the paper's
+dict walk kept as ``tests/oracles.py::DictQDigest``; the two must agree
+on every node, count and scalar of ``to_state()``, bit for bit.
 """
 
 import importlib.util
@@ -28,10 +34,15 @@ import time
 import numpy as np
 
 from conftest import SMOKE, emit, emit_json, perf_assert
+from repro.core.types import Dataset
 from repro.core.varopt import stream_varopt_summary
+from repro.datagen.distributions import pareto_weights
 from repro.datagen.network import NetworkConfig, generate_network_flows
 from repro.datagen.tickets import TicketConfig, generate_tickets
+from repro.engine import registry
+from repro.structures.product import line_domain
 from repro.summaries.qdigest import QDigestSummary
+from repro.summaries.qdigest_stream import StreamingQDigest
 from repro.twopass.two_pass import two_pass_summary
 
 SIZE = 3000
@@ -47,9 +58,14 @@ TICKETS = TicketConfig(n_combinations=1_000_000)
 #: Item counts of the panes an ingest-durable run rebuilds.
 PANES = (5_000, 20_000, 80_000)
 PANE_SIZE = 3000
+#: The serve-fresh streaming q-digest build: items, key domain and s.
+STREAM_ITEMS = 300_000
+STREAM_DOMAIN = 1 << 20
+STREAM_SIZE = 3000
 if SMOKE:
     PANES = (500, 2_000, 8_000)
     PANE_SIZE = 200
+    STREAM_ITEMS = 10_000
     SIZE = 200
     REPEATS = 8
     TRIALS = 3
@@ -85,6 +101,26 @@ PANE_BUILDERS = BUILDERS[1:] + ((
 ),)
 
 
+def _dict_qdigest(data, s, rng):
+    """The registry's streaming q-digest, built by the dict walk."""
+    shape = StreamingQDigest.for_domain(data.domain, s).to_state()
+    digest = oracles.DictQDigest(
+        shape["bits"], shape["k"], shape["compress_every"]
+    )
+    digest.update(data.coords[:, 0], data.weights)
+    return digest
+
+
+def _stream_data():
+    """serve-fresh's build input: Pareto(1.2) items over 2^20 keys."""
+    rng = np.random.default_rng([11, 1])
+    return Dataset(
+        coords=rng.integers(0, STREAM_DOMAIN, size=(STREAM_ITEMS, 1)),
+        weights=pareto_weights(STREAM_ITEMS, 1.2, rng=rng),
+        domain=line_domain(STREAM_DOMAIN),
+    )
+
+
 def _timed(builder, data, size=SIZE):
     """Best-of-``TRIALS`` total wall time of ``REPEATS`` seeded builds."""
     best = float("inf")
@@ -98,6 +134,9 @@ def _timed(builder, data, size=SIZE):
 
 def _check_same(method, after, before):
     """Both paths built the same summary (``aware``: same distribution)."""
+    if method == "qdigest-stream":
+        assert oracles.same_qdigest_state(after.to_state(), before.state())
+        return
     if method == "qdigest":
         state = after.to_state()
         lows, highs, weights = before
@@ -168,5 +207,21 @@ def test_build_kernels(results_dir):
                 f"oracle {1e3 * before:.1f}ms -> array {1e3 * after:.1f}ms  "
                 f"({before / max(after, 1e-9):.1f}x)"
             )
+    lines.append("== Streaming q-digest (serve-fresh shape): dict vs array ==")
+    data = _stream_data()
+    before_out, before = _timed(_dict_qdigest, data, STREAM_SIZE)
+    after_summary, after = _timed(
+        lambda data, s, rng: registry.build("qdigest-stream", data, s, rng),
+        data, STREAM_SIZE,
+    )
+    _check_same("qdigest-stream", after_summary, before_out)
+    records.append(_record(
+        f"stream{data.n}:qdigest-stream", data, STREAM_SIZE, after, before
+    ))
+    lines.append(
+        f"stream{data.n}:qdigest-stream  n={data.n}  s={STREAM_SIZE}  "
+        f"dict {1e3 * before:.1f}ms -> array {1e3 * after:.1f}ms  "
+        f"({before / max(after, 1e-9):.1f}x)"
+    )
     emit(results_dir, "build_kernels", "\n".join(lines))
     emit_json(results_dir, "build", records)

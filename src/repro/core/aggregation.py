@@ -11,7 +11,7 @@ the structure-aware samplers exploit.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -150,27 +150,3 @@ def check_aggregation_invariants(
     if arr.size and (arr.min() < -SET_EPS or arr.max() > 1.0 + SET_EPS):
         raise AssertionError("aggregation produced probability outside [0, 1]")
 
-
-class PairAggregator:
-    """Stateful scalar pair aggregation for streaming use.
-
-    The two-pass pipeline (Section 5) aggregates keys that are *not*
-    co-resident in an array: each cell of the partition holds at most
-    one active (key, probability) pair.  This helper mirrors
-    :func:`pair_aggregate_values` over explicit records.
-    """
-
-    def __init__(self, rng: np.random.Generator):
-        self._rng = rng
-
-    def combine(
-        self, item_a: Tuple[object, float], item_b: Tuple[object, float]
-    ) -> List[Tuple[object, float]]:
-        """Aggregate two (payload, probability) records.
-
-        Returns the same two records with updated probabilities; at
-        least one probability is 0 or 1.
-        """
-        (key_a, p_a), (key_b, p_b) = item_a, item_b
-        new_a, new_b = pair_aggregate_values(p_a, p_b, self._rng)
-        return [(key_a, new_a), (key_b, new_b)]

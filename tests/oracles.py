@@ -25,7 +25,10 @@ array-native kd build to the recursion node for node.
 The batch q-digest's greedy build lives here as its heap loop, one pop
 and one ``Box`` split at a time (``qdigest_leaves``);
 ``tests/test_tree_build_oracles.py`` compares the array-native build's
-leaves with it bitwise.
+leaves with it bitwise.  The streaming q-digest's build lives here as
+its dict walk, one item and one node at a time (``DictQDigest``);
+``tests/test_qdigest_stream.py`` compares the array build's nodes,
+counts and scalars with it bitwise.
 """
 
 import heapq
@@ -210,6 +213,125 @@ def same_bits(got, expect) -> bool:
     expect = np.asarray(expect, dtype=float)
     return got.shape == expect.shape and bool(
         (got.view(np.int64) == expect.view(np.int64)).all()
+    )
+
+
+# ----------------------------------------------------------------------
+# Streaming q-digest: the paper's item-at-a-time dict walk
+# ----------------------------------------------------------------------
+class DictQDigest:
+    """The streaming q-digest as written: a dict of heap node counts.
+
+    Items are inserted one at a time; every ``compress_every`` inserts
+    a compression scans the whole dict once per depth, bottom up, and
+    merges each light (node, sibling) pair into the parent.
+    ``StreamingQDigest`` must reproduce its nodes, counts, ``total``,
+    ``since_compress`` and ``inserts`` bit for bit.
+    """
+
+    def __init__(self, bits: int, k: int, compress_every: int = 1024):
+        self.bits = bits
+        self.k = k
+        self.compress_every = max(1, int(compress_every))
+        self.counts: Dict[int, float] = {}
+        self.total = 0.0
+        self.since_compress = 0
+        self.inserts = 0
+
+    def insert(self, key: int, weight: float = 1.0) -> None:
+        if weight < 0:
+            raise ValueError("weights must be non-negative")
+        if weight == 0:
+            return
+        if not 0 <= key < (1 << self.bits):
+            raise ValueError("key outside domain")
+        leaf = (1 << self.bits) + int(key)
+        self.counts[leaf] = self.counts.get(leaf, 0.0) + weight
+        self.total += weight
+        self.since_compress += 1
+        self.inserts += 1
+        if self.since_compress >= self.compress_every:
+            self.compress()
+
+    def update(self, keys, weights) -> None:
+        for key, weight in zip(keys, weights):
+            self.insert(int(key), float(weight))
+
+    def compress(self) -> None:
+        self.since_compress = 0
+        if self.total == 0:
+            return
+        threshold = self.total / self.k
+        for depth in range(self.bits, 0, -1):
+            level_nodes = [
+                node for node in list(self.counts)
+                if node.bit_length() - 1 == depth
+            ]
+            for node in level_nodes:
+                if node not in self.counts:
+                    continue
+                sibling = node ^ 1
+                parent = node >> 1
+                triple = (
+                    self.counts.get(node, 0.0)
+                    + self.counts.get(sibling, 0.0)
+                    + self.counts.get(parent, 0.0)
+                )
+                if triple < threshold:
+                    merged = self.counts.pop(node, 0.0) + self.counts.pop(
+                        sibling, 0.0
+                    )
+                    if merged:
+                        self.counts[parent] = (
+                            self.counts.get(parent, 0.0) + merged
+                        )
+
+    def snapshot(self) -> "DictQDigest":
+        clone = DictQDigest(self.bits, self.k, self.compress_every)
+        clone.counts = dict(self.counts)
+        clone.total = self.total
+        clone.inserts = self.inserts
+        clone.compress()
+        return clone
+
+    def merge(self, other: "DictQDigest") -> "DictQDigest":
+        merged = DictQDigest(
+            self.bits,
+            max(self.k, other.k),
+            min(self.compress_every, other.compress_every),
+        )
+        merged.counts = dict(self.counts)
+        for node, count in other.counts.items():
+            merged.counts[node] = merged.counts.get(node, 0.0) + count
+        merged.total = self.total + other.total
+        merged.compress()
+        return merged
+
+    def state(self) -> dict:
+        """The ``to_state()`` fields, nodes sorted by id."""
+        nodes = sorted(self.counts)
+        return {
+            "bits": self.bits,
+            "k": self.k,
+            "compress_every": self.compress_every,
+            "nodes": np.asarray(nodes, dtype=np.int64).reshape(-1),
+            "counts": np.asarray([self.counts[v] for v in nodes],
+                                 dtype=float).reshape(-1),
+            "total": self.total,
+            "since_compress": self.since_compress,
+            "inserts": self.inserts,
+        }
+
+
+def same_qdigest_state(state, expect) -> bool:
+    """Whether a ``to_state()`` holds ``DictQDigest.state()`` bitwise."""
+    return (
+        np.array_equal(np.asarray(state["nodes"], dtype=np.int64),
+                       expect["nodes"])
+        and same_bits(state["counts"], expect["counts"])
+        and same_bits([state["total"]], [expect["total"]])
+        and all(state[key] == expect[key] for key in (
+            "bits", "k", "compress_every", "since_compress", "inserts"))
     )
 
 

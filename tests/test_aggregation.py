@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.aggregation import (
-    PairAggregator,
     aggregate_pool,
     check_aggregation_invariants,
     clamp,
@@ -231,14 +230,3 @@ class TestFinalizeLeftover:
         finalize_leftover(p, 0, rng)
         assert p[0] == 1.0
 
-
-class TestPairAggregator:
-    def test_combines_records(self):
-        rng = np.random.default_rng(11)
-        agg = PairAggregator(rng)
-        out = agg.combine(("a", 0.4), ("b", 0.3))
-        keys = [k for k, _ in out]
-        assert keys == ["a", "b"]
-        total = sum(p for _, p in out)
-        assert total == pytest.approx(0.7)
-        assert any(is_set(p) for _, p in out)

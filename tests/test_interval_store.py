@@ -6,14 +6,16 @@ IEEE doubles as the per-depth kernel it replaced, kept as the oracle
 in ``tests/oracles.py``.  The suite sweeps 30 seeds across fresh,
 merged, wire round-tripped and post-restore digests, pins the batch
 q-digest's 1-D sorted-leaf path to the flat leaf-table oracle and its
-dense paths to its scalar ``query``, and covers the mutation-counter
-regression of the table cache.
+dense paths to its scalar ``query``, and checks that every way a
+digest changes answers from its current nodes, never a stale cached
+table.
 """
 
 import numpy as np
 import pytest
 
 from oracles import (
+    DictQDigest,
     qdigest_1d_leaf_query_many,
     qdigest_stream_query_many,
     same_bits,
@@ -185,7 +187,7 @@ def test_restored_engine_flat_parity(seed, tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Mutation-counter regression (the table cache audit)
+# Table cache: every mutation path answers from its current nodes
 # ----------------------------------------------------------------------
 def test_cache_invalidation_on_every_mutation_path():
     """merge / from_state / snapshot / update all produce digests whose
@@ -210,16 +212,14 @@ def test_cache_invalidation_on_every_mutation_path():
     b.update(rng.integers(0, 256, 300), np.ones(300))
     b.query_many(box)
     merged = a.merge(b)
-    assert merged._mutations > 0
     got = merged.query_many(box)[0]
     assert same_bits([got], _oracle(merged, box))
     scalar = merged.query(box[0])
     np.testing.assert_allclose(got, scalar, rtol=1e-9,
                                atol=1e-9 * merged.total)
 
-    # from_state digests are marked mutated relative to fresh ones.
+    # from_state digests answer from the decoded nodes.
     wired = StreamingQDigest.from_state(merged.to_state())
-    assert wired._mutations > 0
     assert wired.query_many(box)[0] == got
 
     # snapshot() compresses a copy; its cache keys off its own counts.
@@ -227,19 +227,55 @@ def test_cache_invalidation_on_every_mutation_path():
     assert same_bits(snap.query_many(box), _oracle(snap, box))
 
 
-def test_direct_counts_mutation_requires_mutated():
-    """The invariant the audit pins: rebinding ``_counts`` without
-    ``_mutated()`` is what the bump sites prevent.  ``_mutated()``
-    must invalidate the table memo."""
+def test_every_mutation_path_answers_like_dict_oracle():
+    """Each way a digest changes -- update, insert, compress, merge,
+    snapshot, a wire round trip and a zero-copy decode -- is applied
+    to a digest whose table is cached, and in step to the paper's dict
+    walk (``DictQDigest``).  After each, the cached scan answers what
+    the per-depth oracle answers over the dict's nodes, bitwise, and
+    the scalar ``query`` agrees; an unchanged digest keeps its table.
+    """
     rng = np.random.default_rng(37)
-    digest = StreamingQDigest(8, k=8, compress_every=10_000)
-    digest.update(rng.integers(0, 256, 200), np.ones(200))
-    box = [Box((0,), (255,))]
-    digest.query_many(box)
-    assert "_flat_table" in digest.__dict__
-    marker = digest.__dict__["_flat_table"][1]
-    digest.query_many(box)
-    assert digest.__dict__["_flat_table"][1] is marker
-    digest._mutated()
-    digest.query_many(box)
-    assert digest.__dict__["_flat_table"][1] is not marker
+    bits = 8
+    boxes = _battery_1d(rng, 1 << bits, 40) + [Box((0,), (255,))]
+
+    def check(digest, oracle):
+        digest.query_many(boxes)  # cache the table, then query again
+        table = digest.interval_table()
+        got = digest.query_many(boxes)
+        assert digest.interval_table() is table
+        assert same_bits(got, qdigest_stream_query_many(oracle.state(),
+                                                        boxes))
+        scalar = [digest.query(box) for box in boxes]
+        np.testing.assert_allclose(got, scalar, rtol=1e-9,
+                                   atol=1e-9 * max(digest.total, 1.0))
+
+    digest = StreamingQDigest(bits, k=8, compress_every=97)
+    oracle = DictQDigest(bits, 8, 97)
+    check(digest, oracle)
+    keys, weights = rng.integers(0, 256, 200), rng.random(200) + 0.1
+    digest.update(keys, weights)
+    oracle.update(keys, weights)
+    check(digest, oracle)
+    digest.insert(7, 3.5)
+    oracle.insert(7, 3.5)
+    check(digest, oracle)
+    digest.compress()
+    oracle.compress()
+    check(digest, oracle)
+
+    other = StreamingQDigest(bits, k=5, compress_every=31)
+    other_oracle = DictQDigest(bits, 5, 31)
+    keys, weights = rng.integers(0, 256, 150), rng.random(150) + 0.1
+    other.update(keys, weights)
+    other_oracle.update(keys, weights)
+    check(other, other_oracle)
+    check(digest.merge(other), oracle.merge(other_oracle))
+    check(digest.snapshot(), oracle.snapshot())
+    check(codec.from_bytes(codec.to_bytes(digest)), oracle)
+    view = codec.from_bytes(codec.to_bytes(digest, compress=False),
+                            copy=False)
+    check(view, oracle)
+    view.update(keys, weights)
+    oracle.update(keys, weights)
+    check(view, oracle)

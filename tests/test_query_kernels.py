@@ -169,7 +169,7 @@ class TestPerMethodEquivalence:
             )
             keys = rng.integers(0, size, size=3000)
             weights = 1.0 + rng.pareto(1.3, size=3000)
-            digest.insert_many(keys, weights)
+            digest.update(keys, weights)
             queries = _battery(rng, 1, size, n_queries=30)
             queries += [
                 Box((0,), (size - 1,)),
