@@ -46,8 +46,9 @@ from repro.summaries.qdigest_stream import StreamingQDigest
 from repro.twopass.two_pass import two_pass_summary
 
 SIZE = 3000
-#: Builds per timing; smoke sizes are repeated so the recorded wall
-#: times clear check_regression.py's noise floor and stay gated.
+#: Builds per timing; smoke sizes are repeated so every recorded wall
+#: time reads at least 0.1 s, twice check_regression.py's 0.05 s noise
+#: floor, and stays gated on a faster host too.
 REPEATS = 1
 #: Timing trials; the best total is recorded.  Smoke records feed the
 #: CI regression gate, where a single scheduler hiccup must not read
@@ -67,7 +68,7 @@ if SMOKE:
     PANE_SIZE = 200
     STREAM_ITEMS = 10_000
     SIZE = 200
-    REPEATS = 8
+    REPEATS = 32
     TRIALS = 3
     NETWORK = NetworkConfig(n_pairs=3_000, n_sources=1_000, n_dests=800)
     TICKETS = TicketConfig(n_combinations=3_000)

@@ -119,7 +119,7 @@ def streaming_demo(config):
         print(f"warm battery (cached)           : {warm * 1e3:7.1f} ms")
         print(f"obliv vs exact mean rel err     : {err:.4f}")
         print(f"frontend stats                  : "
-              f"{frontend.stats.as_dict()}\n")
+              f"{frontend.stats.snapshot()}\n")
         serving_demo(fleet, queries)
 
 

@@ -15,7 +15,11 @@ from typing import Iterable, Iterator, Sequence, Tuple
 import numpy as np
 
 from repro.core.ipps import check_weights
-from repro.structures.product import ProductDomain, line_domain
+from repro.structures.product import (
+    ProductDomain,
+    integer_coords,
+    line_domain,
+)
 
 
 @dataclass
@@ -25,7 +29,8 @@ class Dataset:
     Attributes
     ----------
     coords:
-        ``(n, d)`` integer array; row i is key i's coordinates.
+        ``(n, d)`` integer array; row i is key i's coordinates.  Float
+        coordinates are accepted only when they are whole numbers.
     weights:
         ``(n,)`` finite, non-negative float array.
     domain:
@@ -42,7 +47,7 @@ class Dataset:
         # kd routing, batched queries, wire codecs) relies on this and
         # skips its own re-validation; ``ascontiguousarray`` is a no-op
         # for already-conforming inputs.
-        coords = np.atleast_2d(np.asarray(self.coords, dtype=np.int64))
+        coords = np.atleast_2d(integer_coords(self.coords))
         if coords.shape[0] == 1 and coords.shape[1] > 1 and self.domain.dims == 1:
             # A flat list of 1-D keys was passed; make it a column.
             coords = coords.T
@@ -67,9 +72,9 @@ class Dataset:
         for key, weight in items:
             if np.isscalar(key):
                 key = (key,)
-            keys.append(tuple(int(k) for k in key))
+            keys.append(tuple(key))
             weights.append(float(weight))
-        coords = np.asarray(keys, dtype=np.int64).reshape(len(keys), -1)
+        coords = integer_coords(keys).reshape(len(keys), -1)
         return cls(coords=coords, weights=np.asarray(weights), domain=domain)
 
     @classmethod
@@ -77,7 +82,7 @@ class Dataset:
         cls, keys: Sequence[int], weights: Sequence[float], size: int
     ) -> "Dataset":
         """Build a 1-D dataset over an ordered domain of ``size`` values."""
-        coords = np.asarray(keys, dtype=np.int64).reshape(-1, 1)
+        coords = integer_coords(keys).reshape(-1, 1)
         return cls(coords=coords, weights=np.asarray(weights, dtype=float),
                    domain=line_domain(size))
 

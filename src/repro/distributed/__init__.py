@@ -11,7 +11,7 @@ Four layers turn the in-process engine into a multi-worker system:
   (streaming) and ships serialized summaries upstream.
 * :mod:`repro.distributed.coordinator` -- schedules workers over
   pluggable transports (in-process, multiprocessing pipes, shared
-  memory, TCP sockets), retries/reassigns failed tasks, and folds
+  memory), retries/reassigns failed tasks, and folds
   what comes back with the mergeable-summary protocol:
   :func:`distributed_build` for batch, :class:`DistributedIngest` for
   streams.
@@ -51,11 +51,9 @@ from repro.distributed.coordinator import (
 from repro.distributed.dispatch import (
     AsyncDispatcher,
     Backpressure,
-    DispatchStats,
     ReplyFuture,
 )
 from repro.distributed.frontend import (
-    FrontendStats,
     OverloadError,
     QueryFrontend,
     ServedAnswer,
@@ -66,11 +64,8 @@ from repro.distributed.transport import (
     InProcessTransport,
     MultiprocessingTransport,
     SharedMemoryTransport,
-    TCPTransport,
     TransportError,
-    WireStats,
     make_transport,
-    serve_worker,
 )
 from repro.distributed.worker import WorkerRuntime
 
@@ -79,11 +74,9 @@ __all__ = [
     "Backpressure",
     "CodecError",
     "Coordinator",
-    "DispatchStats",
     "DistributedBuild",
     "DistributedError",
     "DistributedIngest",
-    "FrontendStats",
     "InProcessTransport",
     "MultiprocessingTransport",
     "OverloadError",
@@ -93,18 +86,15 @@ __all__ = [
     "ServiceClosedError",
     "ServingFrontend",
     "SharedMemoryTransport",
-    "TCPTransport",
     "TransportError",
     "TruncatedPayloadError",
     "VersionMismatchError",
     "WIRE_VERSION",
-    "WireStats",
     "WorkerRuntime",
     "decode_message",
     "distributed_build",
     "encode_message",
     "from_bytes",
     "make_transport",
-    "serve_worker",
     "to_bytes",
 ]

@@ -1,8 +1,8 @@
 """Versioned compact wire codecs for summaries and control messages.
 
 The distributed subsystem ships summaries and task/result messages as
-raw bytes over pluggable transports (queues, pipes, sockets), so it
-needs a serialization layer that is
+raw bytes over pluggable transports (inline calls, pipes, shared
+memory), so it needs a serialization layer that is
 
 * **compact** -- NumPy arrays travel as raw buffers plus a dtype/shape
   header, not as pickled objects, and large arrays are additionally

@@ -89,7 +89,7 @@ class Coordinator:
     ----------
     transport:
         A transport name (``"inprocess"``, ``"multiprocessing"``/
-        ``"mp"``, ``"shared-memory"``, ``"tcp"``) or a pre-built
+        ``"mp"``, ``"shared-memory"``/``"shm"``) or a pre-built
         :class:`~repro.distributed.transport.BaseTransport` instance
         (not yet started).
     num_workers:

@@ -26,11 +26,19 @@ worker runtime answers reply-expecting frames in order, replies are
 matched to futures FIFO per worker.
 
 Wire accounting stays **exact under concurrency**: the dispatcher
-thread brackets every ``transport.send`` with a
-:class:`~repro.distributed.transport.WireStats` delta and stamps the
-request's share (``bytes_sent``/``shm_bytes``) onto its future, so
-concurrent operations can each sum their own futures instead of
-racing on before/after snapshots of the shared counters.
+thread reads the transport's ``bytes_sent``/``shm_bytes`` counters
+before and after every ``transport.send`` and stamps the difference
+onto the request's future, so concurrent operations can each sum their
+own futures instead of racing on before/after snapshots of the shared
+counters.
+
+The dispatcher's own counters (``stats``, ``dispatch.*`` in a metrics
+registry) are written from two threads: ``submitted``/``rejected``/
+``backpressure_waits``/``max_queue_depth`` by whichever caller runs
+``submit()``, ``dispatched``/``completed``/``orphans`` by the
+dispatcher thread, and ``failed`` by either.  Every bump is a locked
+:meth:`repro.obs.CounterSet.inc`; ``max_queue_depth`` is a high-water
+mark only ``submit()`` writes, under the dispatcher's condition.
 
 Worker death fails that worker's queued and outstanding futures with
 :class:`~repro.distributed.transport.TransportError`; retry policy
@@ -52,9 +60,14 @@ from repro.distributed.transport import BaseTransport, TransportError
 __all__ = [
     "AsyncDispatcher",
     "Backpressure",
-    "DispatchStats",
     "ReplyFuture",
 ]
+
+#: The dispatcher's counters (``dispatch.*`` in a registry).
+_DISPATCH_FIELDS = (
+    "submitted", "dispatched", "completed", "failed",
+    "backpressure_waits", "rejected", "orphans", "max_queue_depth",
+)
 
 
 class Backpressure(RuntimeError):
@@ -126,71 +139,6 @@ class ReplyFuture:
             self._cond.notify_all()
 
 
-class DispatchStats:
-    """Counters the dispatcher accumulates over its life.
-
-    Thread-safety contract: counters are written from *two* threads --
-    ``submitted``/``rejected``/``backpressure_waits``/
-    ``max_queue_depth`` by whichever caller thread runs ``submit()``,
-    ``dispatched``/``completed``/``orphans`` by the dispatcher thread,
-    and ``failed`` by either (``stop()`` on the caller, send failures
-    and death sweeps on the dispatcher).  A bare ``+= 1`` is a racy
-    read-modify-write across those threads, so every internal call
-    site goes through :meth:`inc`, which increments the field's
-    backing :class:`repro.obs.Counter` under its lock.  The historical
-    attribute reads (``stats.completed`` ...) and ``snapshot()`` are
-    unchanged; the same counters surface in a metrics registry under
-    ``dispatch.*`` via :meth:`obs_metrics`.
-    """
-
-    _FIELDS = (
-        "submitted", "dispatched", "completed", "failed",
-        "backpressure_waits", "rejected", "orphans", "max_queue_depth",
-    )
-
-    __slots__ = tuple("_" + field for field in _FIELDS) + ("__weakref__",)
-
-    def __init__(self):
-        for field in self._FIELDS:
-            setattr(self, "_" + field, _obs.Counter())
-
-    def inc(self, field: str, n: int = 1) -> None:
-        """Atomically bump one counter (safe from any thread)."""
-        getattr(self, "_" + field).inc(n)
-
-    def record_depth(self, depth: int) -> None:
-        """Raise the ``max_queue_depth`` high-water mark."""
-        counter = self._max_queue_depth
-        with counter._lock:
-            if depth > counter._value:
-                counter._value = depth
-
-    def snapshot(self) -> Dict[str, int]:
-        return {key: getattr(self, key) for key in self._FIELDS}
-
-    def obs_metrics(self):
-        """Registry collector hook: ``dispatch.<field>``."""
-        for field in self._FIELDS:
-            yield "dispatch." + field, {}, getattr(self, "_" + field)
-
-
-def _dispatch_stat(field: str):
-    slot = "_" + field
-
-    def _get(self):
-        return getattr(self, slot).value
-
-    def _set(self, value):
-        getattr(self, slot).set(value)
-
-    return property(_get, _set, doc=f"Total {field.replace('_', ' ')}.")
-
-
-for _field in DispatchStats._FIELDS:
-    setattr(DispatchStats, _field, _dispatch_stat(_field))
-del _field
-
-
 class _Request:
     __slots__ = ("frame", "future", "reply_expected")
 
@@ -256,7 +204,12 @@ class AsyncDispatcher:
         self._outstanding: Dict[int, deque] = {}
         self._alive = set(range(transport.num_workers))
         self._running = True
-        self.stats = DispatchStats()
+        self.stats = _obs.CounterSet("dispatch", _DISPATCH_FIELDS)
+        self._max_depth = self.stats.counter("max_queue_depth")
+        # Held, not looked up per send: _send_one reads both around
+        # every transport.send.
+        self._wire_sent = transport.stats.counter("bytes_sent")
+        self._wire_shm = transport.stats.counter("shm_bytes")
         self._obs = registry if registry is not None else _obs.get_registry()
         self._obs.attach(self.stats)
         self._obs_enabled = self._obs.enabled
@@ -360,7 +313,8 @@ class AsyncDispatcher:
             )
             self.stats.inc("submitted")
             depth = self._depth(worker_id)
-            self.stats.record_depth(depth)
+            if depth > self._max_depth.value:
+                self._max_depth.set(depth)
             if self._obs_enabled:
                 self._depth_gauge.set(depth)
             self._cond.notify_all()
@@ -446,9 +400,9 @@ class AsyncDispatcher:
         return to_send
 
     def _send_one(self, worker_id: int, request: _Request) -> bool:
-        stats = self._transport.stats
-        sent_before = stats.bytes_sent
-        shm_before = stats.shm_bytes
+        sent, shm = self._wire_sent, self._wire_shm
+        sent_before = sent.value
+        shm_before = shm.value
         try:
             self._transport.send(
                 worker_id,
@@ -467,8 +421,8 @@ class AsyncDispatcher:
             return False
         self.stats.inc("dispatched")
         if request.future is not None:
-            request.future.bytes_sent = stats.bytes_sent - sent_before
-            request.future.shm_bytes = stats.shm_bytes - shm_before
+            request.future.bytes_sent = sent.value - sent_before
+            request.future.shm_bytes = shm.value - shm_before
         else:
             # Fire-and-forget frames free their queue slot on send.
             with self._cond:

@@ -58,89 +58,14 @@ def _batch_bucket(size: int) -> int:
     return 1 << max(0, size - 1).bit_length() if size > 1 else size
 
 
-class FrontendStats:
-    """Cache/batch effectiveness counters (monitoring surface).
+#: A :class:`QueryFrontend`'s snapshot-cache and battery counters.
+_CACHE_FIELDS = ("hits", "misses", "evictions", "batteries", "queries")
 
-    ``batch_hist`` histograms flush sizes into power-of-two buckets
-    (bucket 8 counts flushes of 5..8 queries), so the telemetry stays
-    bounded no matter how the batch knob is tuned.  ``shed`` counts
-    submissions refused by admission control (always 0 for the plain
-    :class:`QueryFrontend`, which has no bounded queue).
-
-    Thread-safety contract: under a :class:`ServingFrontend` these
-    counters are written by tenant threads (``submitted``/``shed``)
-    *and* the flusher thread (``flushes``, the batch histogram), so a
-    bare ``+= 1`` would be a racy read-modify-write.  Every counter is
-    backed by a :class:`repro.obs.Counter` sharing one lock (``lock``,
-    a new one by default), mutated through :meth:`inc` /
-    :meth:`record_batch`; the dataclass-era attribute reads and
-    ``as_dict()`` shape are unchanged.  A :class:`ServingFrontend`
-    passes its queue lock, so ``submit`` counts under the lock it holds
-    anyway.  The same counters surface in a metrics registry as
-    ``serving.<field>`` (labelled by ``scope``) via :meth:`obs_metrics`.
-    """
-
-    _FIELDS = (
-        "hits", "misses", "evictions", "batteries", "queries",
-        "submitted", "flushes", "shed",
-    )
-
-    __slots__ = tuple("_" + name for name in _FIELDS) + (
-        "_lock", "batch_hist", "scope", "__weakref__",
-    )
-
-    def __init__(
-        self, scope: str = "frontend", lock: Optional[threading.Lock] = None
-    ):
-        self._lock = lock if lock is not None else threading.Lock()
-        self.scope = scope
-        self.batch_hist: Dict[int, int] = {}
-        for name in self._FIELDS:
-            setattr(self, "_" + name, _obs.Counter(self._lock))
-
-    def inc(self, name: str, n: int = 1) -> None:
-        """Atomically bump one counter (safe from any thread)."""
-        getattr(self, "_" + name).inc(n)
-
-    def counter(self, name: str) -> _obs.Counter:
-        """The :class:`repro.obs.Counter` behind one field."""
-        return getattr(self, "_" + name)
-
-    def record_batch(self, size: int) -> None:
-        bucket = _batch_bucket(size)
-        with self._lock:
-            self.batch_hist[bucket] = self.batch_hist.get(bucket, 0) + 1
-
-    def as_dict(self) -> Dict[str, object]:
-        out: Dict[str, object] = {
-            name: getattr(self, "_" + name).value for name in self._FIELDS
-        }
-        with self._lock:
-            out["batch_hist"] = dict(sorted(self.batch_hist.items()))
-        return out
-
-    def obs_metrics(self):
-        """Registry collector hook: ``serving.<field>{scope=...}``."""
-        labels = {"scope": self.scope}
-        for name in self._FIELDS:
-            yield "serving." + name, labels, getattr(self, "_" + name)
-
-
-def _frontend_stat(name: str):
-    slot = "_" + name
-
-    def _get(self):
-        return getattr(self, slot).value
-
-    def _set(self, value):
-        getattr(self, slot).set(value)
-
-    return property(_get, _set, doc=f"Total {name}.")
-
-
-for _name in FrontendStats._FIELDS:
-    setattr(FrontendStats, _name, _frontend_stat(_name))
-del _name
+#: A :class:`ServingFrontend`'s submission, shed and flush counters.
+_SERVING_FIELDS = (
+    "submitted", "flushes", "shed", "flushes_size", "flushes_deadline",
+    "flushes_forced", "shed_tenant",
+)
 
 
 def _supplier_version(supplier) -> int:
@@ -175,7 +100,10 @@ class QueryFrontend:
         self._supplier = supplier
         self._slots = int(slots)
         self._cache: "OrderedDict[tuple, object]" = OrderedDict()
-        self.stats = FrontendStats()
+        #: Cache effectiveness, ``serving.<field>{scope=frontend}``.
+        self.stats = _obs.CounterSet(
+            "serving", _CACHE_FIELDS, {"scope": "frontend"}
+        )
         _obs.get_registry().attach(self.stats)
 
     # ------------------------------------------------------------------
@@ -345,9 +273,11 @@ class ServingFrontend:
       :class:`ServiceClosedError`; queries queued before it are still
       answered by its final flush.
 
-    One plain lock guards the queue, the admission counts and the
-    ``submitted``/``shed`` counters; the flusher's condition is built
-    on it, so a submission takes exactly one lock.  The queue holds the
+    One plain lock guards the queue, the admission counts, the
+    batch-size histogram and the serving counters (``submitted``,
+    ``shed``, the flush reasons: a :class:`repro.obs.CounterSet` built
+    on that lock); the flusher's condition is built on it too, so a
+    submission takes exactly one lock.  The queue holds the
     :class:`ServedAnswer` handles themselves.
 
     Each supplier gets its own inner :class:`QueryFrontend` (snapshot
@@ -410,12 +340,16 @@ class ServingFrontend:
         self._queue: List[ServedAnswer] = []
         self._tenant_pending: Dict[str, int] = {}
         self._flush_lock = threading.Lock()
-        self._stats = FrontendStats(scope="serving", lock=self._lock)
+        # The serving counters share the queue lock: a bump made while
+        # holding it must be inc_held (inc would deadlock).
+        self._stats = _obs.CounterSet(
+            "serving", _SERVING_FIELDS, {"scope": "serving"},
+            lock=self._lock,
+        )
         self._submitted = self._stats.counter("submitted")
-        self._flushes_size = _obs.Counter()
-        self._flushes_deadline = _obs.Counter()
-        self._flushes_forced = _obs.Counter()
-        self._shed_tenant = _obs.Counter()
+        #: Flushes per power-of-two size bucket (bucket 8 counts
+        #: flushes of 5..8 queries); guarded by self._lock.
+        self._batch_hist: Dict[int, int] = {}
         self._max_queue_depth = 0  # guarded by self._lock
         # Always-on per-tenant accounting (keys appear on first use;
         # mutation under self._lock for the counters created in
@@ -442,8 +376,7 @@ class ServingFrontend:
         return metric
 
     def obs_metrics(self):
-        """Registry collector hook: queue depth, per-tenant and
-        flush-reason metrics."""
+        """Registry collector hook: queue depth and per-tenant metrics."""
         depth = _obs.Gauge()
         with self._lock:
             served = list(self._tenant_served.items())
@@ -457,10 +390,6 @@ class ServingFrontend:
             yield "serving.tenant_shed", {"tenant": tenant}, counter
         for tenant, hist in lat:
             yield "serving.tenant_latency_seconds", {"tenant": tenant}, hist
-        yield "serving.flushes_size", {}, self._flushes_size
-        yield "serving.flushes_deadline", {}, self._flushes_deadline
-        yield "serving.flushes_forced", {}, self._flushes_forced
-        yield "serving.shed_tenant", {}, self._shed_tenant
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -516,15 +445,15 @@ class ServingFrontend:
             queue = self._queue
             depth = len(queue)
             if depth >= self._max_pending:
-                self._stats.counter("shed").inc_held()
+                self._stats.inc_held("shed")
                 self._tenant(self._tenant_shed, tenant, _obs.Counter).inc()
                 raise OverloadError(
                     f"pending queue full ({self._max_pending} queries)"
                 )
             pending = self._tenant_pending.get(tenant, 0)
             if pending >= self._tenant_cap:
-                self._stats.counter("shed").inc_held()
-                self._shed_tenant.inc()
+                self._stats.inc_held("shed")
+                self._stats.inc_held("shed_tenant")
                 self._tenant(self._tenant_shed, tenant, _obs.Counter).inc()
                 raise OverloadError(
                     f"tenant {tenant!r} over its fair share "
@@ -582,9 +511,9 @@ class ServingFrontend:
         """
         with self._lock:
             batch = self._take_locked(None)
-        if not batch:
-            return 0
-        self._flushes_forced.inc()
+            if not batch:
+                return 0
+            self._stats.inc_held("flushes_forced")
         self._answer(batch)
         return len(batch)
 
@@ -594,7 +523,7 @@ class ServingFrontend:
             with cond:
                 queue = self._queue
                 if len(queue) >= self._batch_size:
-                    reason = self._flushes_size
+                    reason = "flushes_size"
                     batch = self._take_locked(self._batch_size)
                 elif queue:
                     wait = (
@@ -604,14 +533,14 @@ class ServingFrontend:
                     if wait > 0 and self._running:
                         cond.wait(wait)
                         continue
-                    reason = self._flushes_deadline
+                    reason = "flushes_deadline"
                     batch = self._take_locked(None)
                 elif self._running:
                     cond.wait(0.05)
                     continue
                 else:
                     break
-            reason.inc()
+                self._stats.inc_held(reason)
             self._answer(batch)
 
     def _answer(self, batch: List[ServedAnswer]) -> None:
@@ -622,8 +551,12 @@ class ServingFrontend:
                 if self._obs_enabled else _obs.NULL_SPAN
             )
             with span:
-                self._stats.inc("flushes")
-                self._stats.record_batch(len(batch))
+                bucket = _batch_bucket(len(batch))
+                with self._lock:
+                    self._stats.inc_held("flushes")
+                    self._batch_hist[bucket] = (
+                        self._batch_hist.get(bucket, 0) + 1
+                    )
                 if self._obs_enabled:
                     self._batch_size_hist.observe(len(batch))
                 groups: Dict[str, List[ServedAnswer]] = {}
@@ -741,18 +674,15 @@ class ServingFrontend:
         -- the per-tenant accounting the admission-control counters
         only hinted at.
         """
-        merged = self._stats.as_dict()
-        for key in ("hits", "misses", "evictions", "batteries", "queries"):
-            merged[key] = sum(
-                getattr(backend.stats, key) for backend in self._backends
-            )
+        caches = [backend.stats.snapshot() for backend in self._backends]
+        merged: Dict[str, object] = {
+            key: sum(cache[key] for cache in caches) for key in _CACHE_FIELDS
+        }
         with self._lock:
+            merged.update(self._stats.snapshot())
             merged.update({
+                "batch_hist": dict(sorted(self._batch_hist.items())),
                 "suppliers": len(self._backends),
-                "flushes_size": self._flushes_size.value,
-                "flushes_deadline": self._flushes_deadline.value,
-                "flushes_forced": self._flushes_forced.value,
-                "shed_tenant": self._shed_tenant.value,
                 "max_queue_depth": self._max_queue_depth,
                 "pending": len(self._queue),
             })

@@ -12,23 +12,26 @@ only in where the worker runs:
 * :class:`MultiprocessingTransport` -- one OS process per worker,
   framed over :mod:`multiprocessing` pipes.  The single-host
   production shape: builds scale with cores.
-* :class:`TCPTransport` -- workers connect to the coordinator over
-  TCP sockets (here: local worker processes dialing 127.0.0.1, but
-  the framing and handshake are host-agnostic, so the same wire works
-  across machines).
 * :class:`SharedMemoryTransport` -- same-host worker processes, but
   large request frames land in :mod:`multiprocessing.shared_memory`
   segments and only a tiny ``(name, length)`` descriptor crosses the
   pipe: shard shipping is one mapped write instead of a pipe copy.
 
-Every transport tallies a :class:`WireStats` (frames/bytes in each
-direction, shared-memory bytes moved out-of-band), which is how the
-benchmarks account ``bytes_on_wire`` per mode.
+Every transport tallies its traffic in ``stats``, a
+:class:`repro.obs.CounterSet` that surfaces as ``wire.<field>
+{transport=...}`` in a metrics registry; it is how the benchmarks
+account ``bytes_on_wire`` per mode.  ``bytes_sent``/``bytes_received``
+count what actually crossed the serialized channel (pipe or inline
+call); a frame routed through shared memory counts its descriptor
+there and its payload under ``shm_bytes`` -- the whole point of that
+transport is that the payload never crosses the pipe.  All writes come
+from the single dispatcher selector thread (the ownership contract
+below).
 
-Failure model: a worker that dies (process exit, closed pipe, reset
-socket) is reported dead by :meth:`BaseTransport.alive`; frames it
-never answered are the coordinator's to re-dispatch.  Transports never
-retry on their own.
+Failure model: a worker that dies (process exit, closed pipe) is
+reported dead by :meth:`BaseTransport.alive`; frames it never answered
+are the coordinator's to re-dispatch.  Transports never retry on their
+own.
 
 Thread ownership: transports are *not* thread-safe.  Under the async
 coordinator every :meth:`BaseTransport.send` / ``poll`` / ``alive``
@@ -46,8 +49,6 @@ from __future__ import annotations
 
 import multiprocessing
 import multiprocessing.connection
-import select
-import socket
 import struct
 from collections import deque
 from typing import Callable, Dict, List, Optional, Tuple
@@ -57,73 +58,15 @@ from repro import obs as _obs
 _LEN = struct.Struct("<I")
 _U8 = struct.Struct("<B")
 
-#: Hard cap on a single frame (guards against a corrupt length header).
-MAX_FRAME_BYTES = 1 << 31
+#: The counters every transport keeps (``wire.*`` in a registry).
+_WIRE_FIELDS = (
+    "frames_sent", "bytes_sent", "frames_received", "bytes_received",
+    "shm_frames", "shm_bytes",
+)
 
 
 class TransportError(RuntimeError):
     """The transport cannot deliver frames (dead worker, closed pipe)."""
-
-
-class WireStats:
-    """Byte/frame counters one transport accumulates over its life.
-
-    ``bytes_sent``/``bytes_received`` count what actually crossed the
-    serialized channel (pipe, socket, or inline call); frames routed
-    through shared memory count their descriptor there and their
-    payload under ``shm_bytes`` -- the whole point of that transport
-    is that the payload never crosses the pipe.
-
-    Storage is a :class:`repro.obs.Counter` per field, so the same
-    numbers surface in a :class:`~repro.obs.MetricsRegistry` snapshot
-    (``wire.*`` namespace, labelled by transport) while the historical
-    attribute reads / ``+=`` writes keep working unchanged.  Thread
-    safety: all writes come from the single dispatcher selector thread
-    (the transport ownership contract above); cross-thread *reads* --
-    the dispatcher stamping per-future deltas, benchmarks snapshotting
-    -- see each counter atomically.
-    """
-
-    _FIELDS = (
-        "frames_sent", "bytes_sent", "frames_received", "bytes_received",
-        "shm_frames", "shm_bytes",
-    )
-
-    __slots__ = tuple("_" + field for field in _FIELDS) + (
-        "transport_name", "__weakref__",
-    )
-
-    def __init__(self, transport_name: str = "?"):
-        self.transport_name = transport_name
-        for field in self._FIELDS:
-            setattr(self, "_" + field, _obs.Counter())
-
-    def snapshot(self) -> Dict[str, int]:
-        """The counters as a plain dict (benchmark records)."""
-        return {key: getattr(self, key) for key in self._FIELDS}
-
-    def obs_metrics(self):
-        """Registry collector hook: ``wire.<field>{transport=...}``."""
-        labels = {"transport": self.transport_name}
-        for field in self._FIELDS:
-            yield "wire." + field, labels, getattr(self, "_" + field)
-
-
-def _wire_stat(field: str):
-    slot = "_" + field
-
-    def _get(self):
-        return getattr(self, slot).value
-
-    def _set(self, value):
-        getattr(self, slot).set(value)
-
-    return property(_get, _set, doc=f"Total {field.replace('_', ' ')}.")
-
-
-for _field in WireStats._FIELDS:
-    setattr(WireStats, _field, _wire_stat(_field))
-del _field
 
 
 class BaseTransport:
@@ -137,7 +80,9 @@ class BaseTransport:
     zero_copy = False
 
     def __init__(self):
-        self.stats = WireStats(self.name)
+        self.stats = _obs.CounterSet(
+            "wire", _WIRE_FIELDS, {"transport": self.name}
+        )
         _obs.get_registry().attach(self.stats)
 
     def start(self, num_workers: int) -> None:
@@ -231,8 +176,8 @@ class InProcessTransport(BaseTransport):
     ) -> None:
         if worker_id in self._dead:
             raise TransportError(f"worker {worker_id} is dead")
-        self.stats.frames_sent += 1
-        self.stats.bytes_sent += len(frame)
+        self.stats.inc("frames_sent")
+        self.stats.inc("bytes_sent", len(frame))
         try:
             reply = self._handlers[worker_id](frame)
         except TransportError:
@@ -244,8 +189,8 @@ class InProcessTransport(BaseTransport):
             self._dead.add(worker_id)
             return
         if reply is not None:
-            self.stats.frames_received += 1
-            self.stats.bytes_received += len(reply)
+            self.stats.inc("frames_received")
+            self.stats.inc("bytes_received", len(reply))
             self._inbox.append((worker_id, reply))
 
     def poll(self, timeout: Optional[float]) -> List[Tuple[int, bytes]]:
@@ -332,8 +277,8 @@ class MultiprocessingTransport(BaseTransport):
             raise TransportError(
                 f"worker {worker_id} pipe broken: {exc}"
             ) from exc
-        self.stats.frames_sent += 1
-        self.stats.bytes_sent += len(frame)
+        self.stats.inc("frames_sent")
+        self.stats.inc("bytes_sent", len(frame))
 
     def poll(self, timeout: Optional[float]) -> List[Tuple[int, bytes]]:
         conns = {
@@ -353,9 +298,11 @@ class MultiprocessingTransport(BaseTransport):
                 frames.append((worker_id, conn.recv_bytes()))
             except (EOFError, OSError):
                 self._dead.add(worker_id)
-        for _worker_id, frame in frames:
-            self.stats.frames_received += 1
-            self.stats.bytes_received += len(frame)
+        if frames:
+            self.stats.inc("frames_received", len(frames))
+            self.stats.inc(
+                "bytes_received", sum(len(frame) for _, frame in frames)
+            )
         return frames
 
     def alive(self, worker_id: int) -> bool:
@@ -581,10 +528,10 @@ class SharedMemoryTransport(MultiprocessingTransport):
                 f"worker {worker_id} pipe broken: {exc}"
             ) from exc
         queue.append(segment)
-        self.stats.frames_sent += 1
-        self.stats.bytes_sent += len(descriptor)
-        self.stats.shm_frames += 1
-        self.stats.shm_bytes += len(frame)
+        self.stats.inc("frames_sent")
+        self.stats.inc("bytes_sent", len(descriptor))
+        self.stats.inc("shm_frames")
+        self.stats.inc("shm_bytes", len(frame))
 
     def poll(self, timeout: Optional[float]) -> List[Tuple[int, bytes]]:
         replies = super().poll(timeout)
@@ -614,202 +561,6 @@ class SharedMemoryTransport(MultiprocessingTransport):
         self._awaiting = {}
 
 
-# ----------------------------------------------------------------------
-# TCP sockets
-# ----------------------------------------------------------------------
-
-def _read_exact(sock: socket.socket, n: int) -> bytes:
-    chunks = []
-    remaining = n
-    while remaining:
-        chunk = sock.recv(remaining)
-        if not chunk:
-            raise EOFError("peer closed the connection")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
-
-
-def read_frame(sock: socket.socket) -> bytes:
-    """Read one length-prefixed frame from a socket."""
-    (length,) = _LEN.unpack(_read_exact(sock, _LEN.size))
-    if length > MAX_FRAME_BYTES:
-        raise TransportError(f"frame of {length} bytes exceeds the cap")
-    return _read_exact(sock, length)
-
-
-def write_frame(sock: socket.socket, frame: bytes) -> None:
-    """Write one length-prefixed frame to a socket."""
-    sock.sendall(_LEN.pack(len(frame)) + frame)
-
-
-def _tcp_worker_main(host: str, port: int) -> None:
-    """Worker process entry: dial the coordinator and serve frames."""
-    from repro.distributed.worker import WorkerRuntime
-
-    sock = socket.create_connection((host, port))
-    runtime = WorkerRuntime()
-    try:
-        while True:
-            try:
-                frame = read_frame(sock)
-            except (EOFError, OSError):
-                break
-            reply, stop = runtime.handle_frame(frame)
-            if reply is not None:
-                try:
-                    write_frame(sock, reply)
-                except OSError:
-                    break
-            if stop:
-                break
-    finally:
-        sock.close()
-
-
-class TCPTransport(BaseTransport):
-    """Workers dial the coordinator over TCP (multi-host-shaped).
-
-    The coordinator listens on ``host:port`` (an ephemeral local port
-    by default) and, when ``spawn_local`` is true, launches one local
-    worker process per slot that connects back in.  With
-    ``spawn_local=False`` it only listens: point real remote workers
-    (:func:`serve_worker`) at the advertised address.
-    """
-
-    name = "tcp"
-
-    def __init__(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        *,
-        spawn_local: bool = True,
-        accept_timeout: float = 30.0,
-    ):
-        super().__init__()
-        self._host = host
-        self._port = port
-        self._spawn_local = spawn_local
-        self._accept_timeout = accept_timeout
-        self._listener: Optional[socket.socket] = None
-        self._socks: Dict[int, socket.socket] = {}
-        self._procs: Dict[int, multiprocessing.Process] = {}
-        self._dead: set = set()
-        self._n = 0
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        """The (host, port) workers should dial."""
-        if self._listener is None:
-            raise TransportError("transport not started")
-        return self._listener.getsockname()[:2]
-
-    def start(self, num_workers: int) -> None:
-        if num_workers < 1:
-            raise ValueError("need at least one worker")
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind((self._host, self._port))
-        self._listener.listen(num_workers)
-        self._listener.settimeout(self._accept_timeout)
-        host, port = self.address
-        if self._spawn_local:
-            ctx = multiprocessing.get_context()
-            for worker_id in range(num_workers):
-                proc = ctx.Process(
-                    target=_tcp_worker_main, args=(host, port), daemon=True
-                )
-                proc.start()
-                self._procs[worker_id] = proc
-        for worker_id in range(num_workers):
-            try:
-                sock, _addr = self._listener.accept()
-            except socket.timeout:
-                self.stop()
-                raise TransportError(
-                    f"worker {worker_id} never connected"
-                ) from None
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            self._socks[worker_id] = sock
-        self._n = num_workers
-
-    def send(
-        self, worker_id: int, frame: bytes, *, reply_expected: bool = True
-    ) -> None:
-        if not self.alive(worker_id):
-            raise TransportError(f"worker {worker_id} is dead")
-        try:
-            write_frame(self._socks[worker_id], frame)
-        except OSError as exc:
-            self._dead.add(worker_id)
-            raise TransportError(
-                f"worker {worker_id} socket broken: {exc}"
-            ) from exc
-        self.stats.frames_sent += 1
-        self.stats.bytes_sent += len(frame) + _LEN.size
-
-    def poll(self, timeout: Optional[float]) -> List[Tuple[int, bytes]]:
-        socks = {
-            sock: worker_id
-            for worker_id, sock in self._socks.items()
-            if worker_id not in self._dead
-        }
-        if not socks:
-            return []
-        ready, _, _ = select.select(list(socks), [], [], timeout)
-        frames: List[Tuple[int, bytes]] = []
-        for sock in ready:
-            worker_id = socks[sock]
-            try:
-                frames.append((worker_id, read_frame(sock)))
-            except (EOFError, OSError, TransportError):
-                self._dead.add(worker_id)
-        for _worker_id, frame in frames:
-            self.stats.frames_received += 1
-            self.stats.bytes_received += len(frame) + _LEN.size
-        return frames
-
-    def alive(self, worker_id: int) -> bool:
-        return (
-            worker_id in self._socks and worker_id not in self._dead
-        )
-
-    @property
-    def num_workers(self) -> int:
-        return self._n
-
-    def stop(self) -> None:
-        for sock in self._socks.values():
-            try:
-                sock.close()
-            except OSError:
-                pass
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
-            self._listener = None
-        for proc in self._procs.values():
-            proc.join(timeout=5)
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=5)
-        self._socks = {}
-        self._procs = {}
-
-
-def serve_worker(host: str, port: int) -> None:
-    """Run one worker against a remote coordinator (blocking).
-
-    The multi-host entry point: start the coordinator with
-    ``TCPTransport(host, port, spawn_local=False)`` and run this on
-    each worker machine.
-    """
-    _tcp_worker_main(host, port)
-
-
 #: Transport name -> factory, the coordinator's lookup table.
 TRANSPORTS: Dict[str, Callable[[], BaseTransport]] = {
     "inprocess": InProcessTransport,
@@ -817,7 +568,6 @@ TRANSPORTS: Dict[str, Callable[[], BaseTransport]] = {
     "mp": MultiprocessingTransport,
     "shared-memory": SharedMemoryTransport,
     "shm": SharedMemoryTransport,
-    "tcp": TCPTransport,
 }
 
 

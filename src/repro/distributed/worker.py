@@ -3,7 +3,8 @@
 A worker is a stateful frame handler: the coordinator ships it control
 messages (:func:`repro.distributed.codec.encode_message`) and it
 answers with result frames.  The same runtime serves every transport
--- in-process, pipe, socket -- because transports only move bytes.
+-- in-process, pipe, shared memory -- because transports only move
+bytes.
 
 Message protocol (all fields codec primitives):
 

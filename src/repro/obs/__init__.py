@@ -29,6 +29,7 @@ from repro.obs.accuracy import AccuracyProbe
 from repro.obs.export import expose
 from repro.obs.metrics import (
     Counter,
+    CounterSet,
     Gauge,
     Histogram,
     MetricsRegistry,
@@ -41,6 +42,7 @@ from repro.obs.trace import NULL_SPAN, Span, TraceRing
 __all__ = [
     "AccuracyProbe",
     "Counter",
+    "CounterSet",
     "Gauge",
     "Histogram",
     "MetricsRegistry",

@@ -1,9 +1,9 @@
 """Low-overhead metrics: counters, gauges, log-bucket histograms, registry.
 
-Every component in the serving stack used to grow its own hand-rolled
-stats object (``WireStats``, ``DispatchStats``, ``FrontendStats``);
-this module is the shared substrate they now sit on, plus the registry
-that makes all of them visible through one namespace.
+Every component in the serving stack counts through this module: the
+transports, the dispatcher and the frontends each hold one
+:class:`CounterSet`, and the registry makes all of them visible through
+one namespace.
 
 Design rules, in order:
 
@@ -46,6 +46,7 @@ import numpy as np
 
 __all__ = [
     "Counter",
+    "CounterSet",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
@@ -59,7 +60,7 @@ class Counter:
     """A monotonically growing count, incremented under a lock.
 
     The lock is what makes ``inc`` safe from any thread (the
-    "atomic-increment-under-GIL" pattern the stats views share); the
+    "atomic-increment-under-GIL" pattern every counter set shares); the
     plain ``value`` read is a single atomic load and needs none.
     """
 
@@ -80,7 +81,7 @@ class Counter:
         self._value += n
 
     def set(self, value) -> None:
-        """Overwrite the count (stats-view property setters only)."""
+        """Overwrite the count (a high-water mark with a single writer)."""
         with self._lock:
             self._value = value
 
@@ -90,6 +91,69 @@ class Counter:
 
     def snapshot_value(self):
         return self._value
+
+
+class CounterSet:
+    """A component's named counters: one registry collector, one dict.
+
+    ``CounterSet("wire", fields, {"transport": "shm"})`` holds one
+    :class:`Counter` per field, all sharing one lock (``lock``, a new
+    one by default).  Fields read as attributes (``stats.bytes_sent``),
+    :meth:`snapshot` returns them as a dict, and :meth:`obs_metrics`
+    surfaces them in a registry as ``<prefix>.<field>`` with the set's
+    labels.
+
+    :meth:`inc` takes the lock.  A component that passes its own lock
+    in and bumps a counter while holding it calls :meth:`inc_held`
+    instead: ``inc`` there would deadlock.  An attribute read goes
+    through ``__getattr__`` after a failed normal lookup, several
+    times the cost of a property, so a hot path holds the
+    :class:`Counter` from :meth:`counter` and reads its ``value``.
+    """
+
+    __slots__ = ("_prefix", "_labels", "_counters", "__weakref__")
+
+    def __init__(
+        self,
+        prefix: str,
+        fields: Iterable[str],
+        labels: Optional[Dict[str, object]] = None,
+        lock=None,
+    ):
+        lock = lock if lock is not None else threading.Lock()
+        self._prefix = prefix
+        self._labels = dict(labels or {})
+        self._counters = {field: Counter(lock) for field in fields}
+
+    def __getattr__(self, name: str):
+        if not name.startswith("_"):
+            counter = self._counters.get(name)
+            if counter is not None:
+                return counter._value
+        raise AttributeError(
+            f"{type(self).__name__} has no field {name!r}"
+        )
+
+    def counter(self, name: str) -> Counter:
+        """The :class:`Counter` behind one field."""
+        return self._counters[name]
+
+    def inc(self, name: str, n: int = 1) -> None:
+        """Atomically bump one counter (safe from any thread)."""
+        self._counters[name].inc(n)
+
+    def inc_held(self, name: str, n: int = 1) -> None:
+        """:meth:`inc` for a caller that already holds the set's lock."""
+        self._counters[name].inc_held(n)
+
+    def snapshot(self) -> Dict[str, int]:
+        """Every field's count as a plain dict, in field order."""
+        return {name: c._value for name, c in self._counters.items()}
+
+    def obs_metrics(self):
+        """Registry collector hook: ``<prefix>.<field>{labels}``."""
+        for name, counter in self._counters.items():
+            yield f"{self._prefix}.{name}", self._labels, counter
 
 
 class Gauge:
@@ -410,13 +474,13 @@ class MetricsRegistry:
       objects and every record call is an empty method.
     * :meth:`attach` -- register a *collector*: any object with an
       ``obs_metrics()`` method yielding ``(name, labels, metric)``
-      triples.  The stats views (``WireStats``, ``DispatchStats``,
-      ``FrontendStats``) attach themselves here; the registry keeps
-      only a weak reference, so a torn-down transport's counters fall
-      out of the snapshot with the transport.  Collectors contribute
-      at snapshot time regardless of ``enabled`` -- their counters are
-      functional state (wire accounting, shed counts) that exists
-      either way, and pulling them costs nothing until asked.
+      triples.  Every component's :class:`CounterSet` attaches itself
+      here; the registry keeps only a weak reference, so a torn-down
+      transport's counters fall out of the snapshot with the
+      transport.  Collectors contribute at snapshot time regardless
+      of ``enabled`` -- their counters are functional state (wire
+      accounting, shed counts) that exists either way, and pulling
+      them costs nothing until asked.
 
     Same-key contributions (two transports of one name, per-supplier
     cache stats) are *summed* (counters/gauges) or *merged*

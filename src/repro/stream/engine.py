@@ -24,7 +24,6 @@ from the same seed and fed the same stream report identical answers.
 from __future__ import annotations
 
 import math
-import threading
 import time
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Union
@@ -188,7 +187,6 @@ class StreamEngine:
         registry=None,
         store=None,
         stream_id: str = "stream",
-        checkpoint_async: bool = False,
     ):
         if isinstance(methods, str):
             methods = [methods]
@@ -226,15 +224,6 @@ class StreamEngine:
         # restore can rebuild the engine from the store alone.
         self._store = store
         self._stream_id = str(stream_id)
-        # Async checkpoints: a single lock serializes the entire
-        # checkpoint (freeze + encode + append + truncate + sync)
-        # against ingestion, so an in-flight background checkpoint can
-        # never interleave with `process()`/`ingest()`.  The lock only
-        # exists when opted in -- the synchronous path stays
-        # lock-free (the bench-smoke checkpoint-overhead gate).
-        self._checkpoint_async = bool(checkpoint_async)
-        self._ckpt_lock = threading.Lock() if checkpoint_async else None
-        self._ckpt_handle: Optional[AsyncCheckpoint] = None
         if store is not None:
             if store.resume_state(self._stream_id)["next_seq"] > 0:
                 raise ValueError(
@@ -260,13 +249,6 @@ class StreamEngine:
         the domain and late batches are rejected before the log, so
         the write-ahead log replays cleanly.
         """
-        if self._ckpt_lock is not None:
-            with self._ckpt_lock:
-                self._process_batch(batch)
-            return
-        self._process_batch(batch)
-
-    def _process_batch(self, batch) -> None:
         batch = MicroBatch.coerce(batch)
         self._domain.validate_coords(batch.coords)
         if self._store is not None:
@@ -536,19 +518,14 @@ class StreamEngine:
             self._stream_id, "seal", max_pane=pane.index - keep
         )
 
-    def checkpoint(self):
+    def checkpoint(self) -> int:
         """Persist the full live state; truncate the log behind it.
 
-        Synchronous engines (the default) return the checkpoint's
-        sequence number.  With ``checkpoint_async=True`` the entire
-        checkpoint runs on a background thread and an
-        :class:`AsyncCheckpoint` handle is returned immediately;
-        ``handle.result()`` joins and yields the sequence number.  The
-        background checkpoint holds the ingest lock for its whole
-        duration, so it can never interleave with a concurrent
-        :meth:`process` -- ingestion simply waits, and every batch is
-        either wholly before the checkpoint or wholly after it.
-        Consecutive async checkpoints serialize against each other.
+        Runs inline on the calling thread: it appends a ``state``
+        record, truncates the log below it, syncs the store and returns
+        the record's sequence number.  If the append raises, the error
+        propagates, the log keeps its earlier records and the engine
+        keeps ingesting.
 
         On landmark streams checkpoints are the *only* thing that
         bounds the write-ahead log (no pane ever seals), so long-lived
@@ -556,16 +533,6 @@ class StreamEngine:
         """
         if self._store is None:
             raise ValueError("engine has no checkpoint store attached")
-        if not self._checkpoint_async:
-            return self._checkpoint_now()
-        if self._ckpt_handle is not None and not self._ckpt_handle.done:
-            self._ckpt_handle.result()
-        handle = AsyncCheckpoint(self)
-        self._ckpt_handle = handle
-        handle._start()
-        return handle
-
-    def _checkpoint_now(self) -> int:
         seq = self._store.append(
             self._stream_id, "state", self._checkpoint_payload(),
             pane=self._panes[-1].index,
@@ -891,52 +858,3 @@ class StreamEngine:
             f"StreamEngine(methods={self._methods}, mode={mode}, "
             f"items={self._items}, panes={len(self._panes)})"
         )
-
-
-class AsyncCheckpoint:
-    """Handle for a checkpoint running on a background thread.
-
-    Returned by :meth:`StreamEngine.checkpoint` when the engine was
-    built with ``checkpoint_async=True``.  The worker thread holds the
-    engine's ingest lock for the checkpoint's entire duration (freeze,
-    encode, append, truncate, sync), so the persisted state is a
-    consistent point-in-time cut: concurrent ``process()`` calls block
-    until the checkpoint completes rather than interleaving with it.
-    """
-
-    def __init__(self, engine: StreamEngine):
-        self._engine = engine
-        self._seq: Optional[int] = None
-        self._error: Optional[BaseException] = None
-        self._thread: Optional[threading.Thread] = None
-
-    def _start(self) -> None:
-        self._thread = threading.Thread(
-            target=self._run, name="stream-checkpoint", daemon=True
-        )
-        self._thread.start()
-
-    def _run(self) -> None:
-        try:
-            with self._engine._ckpt_lock:
-                self._seq = self._engine._checkpoint_now()
-        except BaseException as exc:  # surfaced by result()
-            self._error = exc
-
-    @property
-    def done(self) -> bool:
-        """Whether the background checkpoint has finished."""
-        return self._thread is not None and not self._thread.is_alive()
-
-    def result(self, timeout: Optional[float] = None) -> int:
-        """Join the checkpoint; return its sequence number.
-
-        Re-raises any exception the background thread hit.  Raises
-        ``TimeoutError`` if ``timeout`` elapses first.
-        """
-        self._thread.join(timeout)
-        if self._thread.is_alive():
-            raise TimeoutError("checkpoint still running")
-        if self._error is not None:
-            raise self._error
-        return self._seq

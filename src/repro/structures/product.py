@@ -17,6 +17,27 @@ from repro.structures.order import OrderedDomain
 Axis = Union[OrderedDomain, RadixHierarchy]
 
 
+def integer_coords(keys) -> np.ndarray:
+    """``keys`` as an int64 array, refusing keys that are not integers.
+
+    Integer arrays cast with no extra pass over the data.  Anything
+    else (float arrays, lists holding floats) casts only when every
+    key is a whole number: a fractional, NaN or infinite key raises
+    ``ValueError`` instead of being truncated into another cell.
+    """
+    keys = np.asarray(keys)
+    if keys.dtype.kind in "biu":
+        return keys.astype(np.int64, copy=False)
+    with np.errstate(invalid="ignore"):
+        coords = keys.astype(np.int64)
+    wrong = coords != keys
+    if wrong.any():
+        raise ValueError(
+            f"keys must be whole numbers; got {keys[wrong].flat[0]}"
+        )
+    return coords
+
+
 class ProductDomain:
     """A d-dimensional product of per-axis structures.
 

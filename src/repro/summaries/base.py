@@ -27,6 +27,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.structures.product import integer_coords
 from repro.structures.ranges import Box, MultiRangeQuery, SortOrderCache
 
 
@@ -55,11 +56,13 @@ def coerce_batch(
     tuples, or a flat sequence of 1-D keys.  Returns ``(coords,
     weights)`` with ``coords`` an ``(n, d)`` int64 array and a matching
     float weight vector.  ``dims``, when known, validates the key
-    dimensionality.  Every implementation of
-    :meth:`IncrementalSummary.update` funnels through this one helper
-    so the (deliberately forgiving) input contract cannot drift.
+    dimensionality.  Float keys are accepted when they are whole
+    numbers; a fractional, NaN or infinite key raises ``ValueError``.
+    Every implementation of :meth:`IncrementalSummary.update` funnels
+    through this one helper so the (deliberately forgiving) input
+    contract cannot drift.
     """
-    raw = np.atleast_1d(np.asarray(keys, dtype=np.int64))
+    raw = np.atleast_1d(integer_coords(keys))
     weights = np.atleast_1d(np.asarray(weights, dtype=float))
     if raw.ndim == 1:
         # A flat sequence is ambiguous: n one-dimensional keys, or one

@@ -100,23 +100,6 @@ class TestParityWithLocalEngine:
         assert dist.summary.query_many(battery) == \
             local.summary.query_many(battery)
 
-    def test_tcp_matches_build_sharded(self):
-        data = dataset_2d()
-        local = build_sharded(
-            "obliv", data, SIZE, np.random.default_rng(5),
-            num_shards=2, parallel=False,
-        )
-        try:
-            dist = distributed_build(
-                "obliv", data, SIZE, np.random.default_rng(5),
-                num_workers=2, transport="tcp",
-            )
-        except (OSError, PermissionError) as exc:  # pragma: no cover
-            pytest.skip(f"sockets unavailable: {exc}")
-        battery = queries(2)
-        assert dist.summary.query_many(battery) == \
-            local.summary.query_many(battery)
-
     def test_transports_agree_with_each_other(self):
         data = dataset_2d(seed=7)
         answers = []

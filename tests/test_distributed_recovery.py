@@ -117,6 +117,28 @@ class TestOutOfDomainRejected:
             ingest.close()
 
 
+class TestFractionalKeysRejected:
+    @pytest.mark.parametrize("bad", [2.9, np.nan, np.inf])
+    def test_bad_batch_never_reaches_a_worker(self, bad):
+        # 2.9 used to be truncated to key 2 and routed to a worker.
+        baseline = run_fleet("inprocess", 3, num_workers=2, n_batches=6)
+        ingest = DistributedIngest(
+            domain(), METHODS, 48, transport="inprocess",
+            num_workers=2, seed=3, recovery="replay",
+        )
+        try:
+            for i, batch in enumerate(batches(3, n_batches=6)):
+                if i == 3:
+                    with pytest.raises(ValueError, match="whole numbers"):
+                        ingest.process(
+                            (np.array([[1.0], [bad]]), np.ones(2), float(i))
+                        )
+                ingest.process(batch)
+            assert ingest.query_many_now(QUERIES) == baseline
+        finally:
+            ingest.close()
+
+
 class TestReplayRecovery:
     @pytest.mark.parametrize("seed", range(30))
     def test_kill_mid_stream_bit_identical_inprocess(self, seed):

@@ -18,6 +18,7 @@ from repro.distributed import (
     InProcessTransport,
     SharedMemoryTransport,
     distributed_build,
+    make_transport,
 )
 from repro.distributed import codec
 from repro.distributed.transport import (
@@ -105,6 +106,20 @@ class TestWireStats:
         assert result.frames_sent > 0
         assert result.bytes_on_wire > 0
         assert result.shm_bytes == 0
+
+
+class TestTransportLookup:
+    def test_names_resolve(self):
+        for name, cls in [("inprocess", InProcessTransport),
+                          ("shm", SharedMemoryTransport)]:
+            transport = make_transport(name)
+            assert type(transport) is cls
+            assert transport.stats.snapshot()["frames_sent"] == 0
+
+    @pytest.mark.parametrize("name", ["tcp", "sockets"])
+    def test_unknown_name_raises_key_error(self, name):
+        with pytest.raises(KeyError, match="unknown transport"):
+            make_transport(name)
 
 
 class TestSharedMemoryTransport:

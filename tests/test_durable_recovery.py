@@ -296,6 +296,95 @@ class TestOutOfDomainRejected:
         store.close()
 
 
+class TestFractionalKeysRejected:
+    """A fractional, NaN or infinite key is refused before the log.
+
+    Cast to int64 it would land in another cell (2.9 in cell 2), and
+    the engine's answers would silently move weight between ranges.
+    """
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("bad", [2.9, 63.5, np.nan, np.inf])
+    def test_rejected_before_logging(self, backend, bad, tmp_path):
+        store = make_store(backend, tmp_path)
+        engine = StreamEngine(
+            domain(), ["exact", "obliv", "qdigest-stream"], 16, seed=1,
+            store=store, stream_id="s",
+        )
+        engine.process((np.array([3, 7, 64]), np.array([1.0, 2.0, 3.0])))
+        logged = [(r.seq, r.kind) for r in store.records("s")]
+        with pytest.raises(ValueError, match="whole numbers"):
+            engine.process(([2.0, bad], [1.0, 2.0]))
+        assert [(r.seq, r.kind) for r in store.records("s")] == logged
+        assert engine.items_seen == 3
+        engine.process(([5.0, 9.0], [4.0, 5.0]))  # whole floats cast
+        assert engine.query_now(Box((5,), (5,)))["exact"] == 4.0
+        restored = StreamEngine.restore(store, "s")
+        assert frames(restored) == frames(engine)
+        store.close()
+
+
+class _StateAppendFails:
+    """Store proxy whose ``state`` appends raise (disk full at checkpoint)."""
+
+    def __init__(self, inner):
+        self._inner = inner
+
+    def append(self, stream_id, kind, payload, **kwargs):
+        if kind == "state":
+            raise OSError("disk full")
+        return self._inner.append(stream_id, kind, payload, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+class TestSyncCheckpoint:
+    """``checkpoint()`` runs inline on the caller's thread."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_returns_state_record_seq(self, backend, tmp_path):
+        store = make_store(backend, tmp_path)
+        engine = StreamEngine(
+            domain(), METHODS, 64, window=sliding(8.0, 4.0), seed=4,
+            store=store, stream_id="s",
+        )
+        data = stamped_batches(4, n_batches=10)
+        seqs = []
+        for batches in (data[:5], data[5:]):
+            for batch in batches:
+                engine.process(batch)
+            seqs.append(engine.checkpoint())
+            states = [r for r in store.records("s") if r.kind == "state"]
+            assert [r.seq for r in states] == seqs[-1:]
+        assert all(isinstance(seq, int) for seq in seqs)
+        assert seqs[1] > seqs[0]
+        store.close()
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_failed_append_raises_and_ingest_continues(
+        self, backend, tmp_path
+    ):
+        inner = make_store(backend, tmp_path)
+        engine = StreamEngine(
+            domain(), METHODS, 64, window=sliding(8.0, 4.0), seed=6,
+            store=_StateAppendFails(inner), stream_id="s",
+        )
+        data = stamped_batches(6, n_batches=12)
+        for batch in data[:6]:
+            engine.process(batch)
+        logged = [(r.seq, r.kind) for r in inner.records("s")]
+        with pytest.raises(OSError, match="disk full"):
+            engine.checkpoint()
+        assert [(r.seq, r.kind) for r in inner.records("s")] == logged
+        for batch in data[6:]:
+            engine.process(batch)
+        restored = StreamEngine.restore(inner, "s")
+        assert frames(restored) == frames(engine)
+        assert restored.items_seen == engine.items_seen
+        inner.close()
+
+
 class TestLateItemsSatellite:
     def test_rejected_with_pane_and_timestamp(self):
         window = tumbling(4.0)

@@ -11,8 +11,8 @@ Covers the observability contracts end to end:
   Prometheus exposition, JSONL timeline records, and the
   disabled-registry null-object contract;
 * spans -- nesting/parent links, error tagging, ring bounds;
-* thread safety -- the atomic-increment-under-GIL pattern the stats
-  views migrated onto;
+* thread safety -- the atomic-increment-under-GIL pattern every
+  :class:`~repro.obs.CounterSet` relies on;
 * :class:`~repro.obs.AccuracyProbe` -- 30-seed agreement with the
   offline discrepancy computation, tau drift tracking;
 * the acceptance stack -- one enabled registry observing a
@@ -24,6 +24,7 @@ Covers the observability contracts end to end:
 import io
 import json
 import math
+import sys
 import threading
 
 import numpy as np
@@ -33,10 +34,7 @@ from repro import obs
 from repro.core.types import Dataset
 from repro.distributed import Coordinator, ServingFrontend, distributed_build
 from repro.distributed.codec import from_bytes, to_bytes
-from repro.distributed.dispatch import DispatchStats
-from repro.distributed.frontend import FrontendStats
-from repro.distributed.transport import WireStats
-from repro.obs import AccuracyProbe, Histogram, MetricsRegistry
+from repro.obs import AccuracyProbe, CounterSet, Histogram, MetricsRegistry
 from repro.stream import StreamEngine, tumbling
 from repro.structures.ranges import Box
 
@@ -208,15 +206,19 @@ class TestRegistry:
 
     def test_collectors_sum_same_key(self, registry):
         """Two same-name transports' counters sum in the snapshot."""
-        first, second = WireStats("tcp"), WireStats("tcp")
+        first, second = (
+            CounterSet("wire", ("frames_sent",), {"transport": "shm"})
+            for _ in range(2)
+        )
         registry.attach(first)
         registry.attach(second)
-        first.frames_sent += 3
-        second.frames_sent += 4
-        assert registry.snapshot()["wire.frames_sent{transport=tcp}"] == 7
+        first.inc("frames_sent", 3)
+        second.inc("frames_sent", 4)
+        assert first.frames_sent == 3
+        assert registry.snapshot()["wire.frames_sent{transport=shm}"] == 7
 
     def test_collector_weakref_drops_with_owner(self, registry):
-        stats = WireStats("gone")
+        stats = CounterSet("wire", ("frames_sent",), {"transport": "gone"})
         registry.attach(stats)
         assert "wire.frames_sent{transport=gone}" in registry.snapshot()
         del stats
@@ -237,10 +239,10 @@ class TestRegistry:
         assert delta["d.lat"]["p50"] == 128.0
 
     def test_expose_prometheus_text(self, registry):
-        registry.counter("wire.bytes_sent", transport="tcp").inc(9)
+        registry.counter("wire.bytes_sent", transport="shm").inc(9)
         registry.histogram("serving.latency_seconds").observe(0.003)
         text = obs.expose(registry.snapshot())
-        assert 'repro_wire_bytes_sent{transport="tcp"} 9' in text
+        assert 'repro_wire_bytes_sent{transport="shm"} 9' in text
         assert "repro_serving_latency_seconds_count 1" in text
         assert 'le="+Inf"' in text
         # Cumulative bucket for 0.003: upper edge 2^-8 = 0.00390625.
@@ -288,9 +290,9 @@ class TestDisabledRegistry:
     def test_disabled_registry_still_pulls_collectors(self):
         """Functional stats (wire accounting) surface either way."""
         reg = MetricsRegistry(enabled=False)
-        stats = WireStats("pipe")
+        stats = CounterSet("wire", ("bytes_sent",), {"transport": "pipe"})
         reg.attach(stats)
-        stats.bytes_sent += 123
+        stats.inc("bytes_sent", 123)
         assert reg.snapshot()["wire.bytes_sent{transport=pipe}"] == 123
 
 
@@ -341,6 +343,7 @@ class TestSpans:
 
 class TestThreadSafety:
     def _hammer(self, work, threads=8):
+        """Run ``work`` on more threads than cores, switching often."""
         barrier = threading.Barrier(threads)
 
         def run():
@@ -348,10 +351,16 @@ class TestThreadSafety:
             work()
 
         pool = [threading.Thread(target=run) for _ in range(threads)]
-        for thread in pool:
-            thread.start()
-        for thread in pool:
-            thread.join()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in pool:
+                thread.start()
+            for thread in pool:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in pool)
 
     def test_counter_inc_loses_no_updates(self):
         counter = obs.Counter()
@@ -359,14 +368,42 @@ class TestThreadSafety:
         assert counter.value == 8 * 5000
 
     def test_dispatch_stats_inc_loses_no_updates(self):
-        stats = DispatchStats()
+        stats = CounterSet("dispatch", ("failed", "completed"))
         self._hammer(lambda: [stats.inc("failed") for _ in range(5000)])
         assert stats.failed == 8 * 5000
+        assert stats.snapshot() == {"failed": 8 * 5000, "completed": 0}
 
     def test_frontend_stats_batch_hist_under_contention(self):
-        stats = FrontendStats()
-        self._hammer(lambda: [stats.record_batch(5) for _ in range(5000)])
-        assert stats.batch_hist == {8: 8 * 5000}
+        """Concurrent ``flush()`` and ``stats()`` callers: every flush
+        that answered something lands in ``batch_hist`` exactly once."""
+        service = ServingFrontend(
+            _static_supplier(dataset()), max_pending=1 << 16,
+            tenant_share=1.0, start=False,
+        )
+        queries = battery()
+        flushed = []
+        lock = threading.Lock()
+
+        def work():
+            sizes = []
+            for _ in range(100):
+                for query in queries[:3]:
+                    service.submit("exact", query)
+                sizes.append(service.flush())
+                service.stats()
+            with lock:
+                flushed.extend(size for size in sizes if size)
+
+        self._hammer(work)
+        stats = service.stats()
+        expected = {}
+        for size in flushed:
+            bucket = 1 << (size - 1).bit_length()
+            expected[bucket] = expected.get(bucket, 0) + 1
+        assert stats["batch_hist"] == expected
+        assert stats["flushes"] == stats["flushes_forced"] == len(flushed)
+        assert sum(flushed) == stats["submitted"] == 8 * 100 * 3
+        service.close()
 
     def test_histogram_observe_under_contention(self):
         hist = Histogram()

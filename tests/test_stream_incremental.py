@@ -60,6 +60,18 @@ class TestExactIncremental:
         assert store.query(box) == pytest.approx(16.0)
         assert store.size == 4 and snap.size == 3
 
+    @pytest.mark.parametrize("bad", [2.9, np.nan, np.inf])
+    def test_update_rejects_fractional_keys(self, bad):
+        store = ExactSummary.empty(dims=1)
+        store.update([1, 5], [1.0, 2.0])
+        version = store.version
+        with pytest.raises(ValueError, match="whole numbers"):
+            store.update([bad, 5.5], [1.0, 2.0])
+        assert store.version == version and store.size == 2
+        store.update([2.0, 6.0], [1.0, 2.0])  # whole floats still cast
+        assert store.query(Box((2,), (2,))) == pytest.approx(1.0)
+        assert store.query(Box((6,), (6,))) == pytest.approx(2.0)
+
     def test_dims_and_length_validation(self):
         store = ExactSummary.empty(dims=2)
         with pytest.raises(ValueError, match="dimensionality"):

@@ -39,6 +39,26 @@ class TestConstruction:
                 np.arange(100), [1.0] * 99 + [bad], size=100
             )
 
+    @pytest.mark.parametrize("bad", [2.5, np.nan, np.inf])
+    def test_rejects_fractional_and_non_finite_keys(self, bad):
+        # Casting would truncate 2.5 into cell 2; NaN and inf have no
+        # cell at all.  Every constructor refuses them the same way.
+        domain = line_domain(10)
+        with pytest.raises(ValueError, match="whole numbers"):
+            Dataset.one_dimensional([1, bad], [1.0, 1.0], size=10)
+        with pytest.raises(ValueError, match="whole numbers"):
+            Dataset.from_items([(1, 1.0), (bad, 1.0)], domain)
+        with pytest.raises(ValueError, match="whole numbers"):
+            Dataset(np.array([[1.0], [bad]]), np.ones(2), domain)
+
+    def test_whole_float_keys_cast(self):
+        data = Dataset(np.array([[3.0], [0.0]]), np.ones(2), line_domain(10))
+        assert data.coords.dtype == np.int64
+        np.testing.assert_array_equal(data.keys_1d(), [3, 0])
+        domain = ProductDomain([BitHierarchy(4), BitHierarchy(4)])
+        items = Dataset.from_items([((1.0, 2.0), 1.0)], domain)
+        np.testing.assert_array_equal(items.coords, [[1, 2]])
+
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(ValueError):
             Dataset(
