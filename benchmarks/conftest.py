@@ -12,6 +12,7 @@ datasets shrink and performance/statistical expectations
 remain meaningful at toy scale.
 """
 
+import importlib.util
 import json
 import os
 import pathlib
@@ -32,6 +33,20 @@ BENCH_TICKETS = TicketConfig(n_combinations=20_000)
 if SMOKE:
     BENCH_NETWORK = NetworkConfig(n_pairs=3_000, n_sources=1_000, n_dests=800)
     BENCH_TICKETS = TicketConfig(n_combinations=3_000)
+
+
+def load_oracles():
+    """``tests/oracles.py`` (the paper's scalar walks), loaded by path.
+
+    Putting ``tests/`` on ``sys.path`` instead could make a benchmark's
+    ``from conftest import ...`` resolve to ``tests/conftest.py``.
+    """
+    root = pathlib.Path(__file__).resolve().parents[1]
+    path = root / "tests" / "oracles.py"
+    spec = importlib.util.spec_from_file_location("repro_oracles", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def perf_assert(condition, message=""):

@@ -10,7 +10,7 @@ weight plus ``tau`` times the number of light sampled keys -- eq. (1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -400,20 +400,21 @@ class SampleSummary:
         )
 
 
-def _reaggregate(
-    coords: np.ndarray,
+def reaggregate_indices(
     adjusted: np.ndarray,
     tau_floor: float,
     s: int,
     rng: Optional[np.random.Generator],
-) -> SampleSummary:
-    """Second-stage IPPS/VarOpt pair aggregation over adjusted weights.
+) -> Tuple[np.ndarray, float]:
+    """One VarOpt_s stage over adjusted weights: ``(included, tau*)``.
 
-    Shared core of :meth:`SampleSummary.merge` and
-    :meth:`SampleSummary.downsample`: includes key ``i`` with
-    probability ``min(1, adjusted_i / tau*)`` where
-    ``tau* = max(tau_floor, tau_s(adjusted))``, realized with VarOpt
-    pair aggregations.
+    Includes entry ``i`` with probability ``min(1, adjusted_i / tau*)``
+    where ``tau* = max(tau_floor, tau_s(adjusted))``, realized by pair
+    aggregations over the fractional entries in random order.  The
+    shared core of :meth:`SampleSummary.merge`,
+    :meth:`SampleSummary.downsample` and the VarOpt reservoir's batch
+    update (:meth:`repro.core.varopt.StreamVarOpt.update`).  With
+    ``tau* == 0`` every entry is included and no randomness is drawn.
     """
     if s < 1:
         raise ValueError("target sample size must be >= 1")
@@ -421,13 +422,24 @@ def _reaggregate(
         rng = np.random.default_rng()
     tau_star = max(tau_floor, ipps_threshold(adjusted, s))
     if tau_star == 0.0:
-        return SampleSummary(coords=coords, weights=adjusted, tau=0.0)
+        return np.arange(adjusted.shape[0]), 0.0
     p = np.minimum(1.0, adjusted / tau_star)
     fractional = np.flatnonzero((p > 0.0) & (p < 1.0))
     pool = fractional[rng.permutation(fractional.size)]
     leftover = chain_aggregate(p, pool, rng)
     finalize_leftover(p, leftover, rng)
-    included = included_indices(p)
+    return included_indices(p), tau_star
+
+
+def _reaggregate(
+    coords: np.ndarray,
+    adjusted: np.ndarray,
+    tau_floor: float,
+    s: int,
+    rng: Optional[np.random.Generator],
+) -> SampleSummary:
+    """Second-stage IPPS/VarOpt sample of a union's adjusted weights."""
+    included, tau_star = reaggregate_indices(adjusted, tau_floor, s, rng)
     return SampleSummary(
         coords=coords[included],
         weights=adjusted[included],

@@ -66,16 +66,29 @@ class Dataset:
         items: Iterable[Tuple[Sequence[int], float]],
         domain: ProductDomain,
     ) -> "Dataset":
-        """Build from an iterable of ``(key_tuple, weight)`` pairs."""
+        """Build from an iterable of ``(key_tuple, weight)`` pairs.
+
+        A scalar key is a 1-tuple.  Raises ``ValueError`` naming the
+        first key whose length differs from ``domain.dims``; an empty
+        iterable gives an empty ``(0, dims)`` dataset.
+        """
         keys = []
         weights = []
-        for key, weight in items:
-            if np.isscalar(key):
-                key = (key,)
-            keys.append(tuple(key))
+        for index, (key, weight) in enumerate(items):
+            key = (key,) if np.isscalar(key) else tuple(key)
+            if len(key) != domain.dims:
+                raise ValueError(
+                    f"key {index} has {len(key)} coordinates but the "
+                    f"domain has {domain.dims} axes"
+                )
+            keys.append(key)
             weights.append(float(weight))
-        coords = integer_coords(keys).reshape(len(keys), -1)
-        return cls(coords=coords, weights=np.asarray(weights), domain=domain)
+        coords = integer_coords(keys).reshape(len(keys), domain.dims)
+        return cls(
+            coords=coords,
+            weights=np.asarray(weights, dtype=float),
+            domain=domain,
+        )
 
     @classmethod
     def one_dimensional(

@@ -6,24 +6,27 @@ Two constructions of a VarOpt_s sample:
   IPPS probabilities and run pair aggregations in random order.  This is
   the probabilistic-aggregation framework instantiated with
   structure-*oblivious* pair selection.
-* :class:`StreamVarOpt` -- the one-pass reservoir-style algorithm of
-  Cohen, Duffield, Kaplan, Lund, Thorup (SODA 2009): maintains exact
-  "heavy" items above the current threshold in a min-heap and a light
-  region whose items all share the threshold as adjusted weight;
-  amortized O(log s) per item.
+* :class:`StreamVarOpt` -- the one-pass reservoir of Cohen, Duffield,
+  Kaplan, Lund and Thorup ("Stream sampling for variance-optimal
+  estimation of subset sums", SODA 2009), built on their recursion: a
+  VarOpt_s sample of (a VarOpt_s sample of the prefix, at adjusted
+  weights) plus the new items is a VarOpt_s sample of the whole.  The
+  recursion holds for any number of new items, so the reservoir folds
+  each micro-batch in with one threshold and one aggregation chain --
+  the construction :meth:`SampleSummary.merge` applies to whole samples
+  (paper Appendix A).
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.aggregation import finalize_leftover, included_indices
 from repro.core.chain import chain_aggregate
-from repro.core.estimator import SampleSummary
-from repro.core.ipps import ipps_probabilities
+from repro.core.estimator import SampleSummary, reaggregate_indices
+from repro.core.ipps import check_weights, ipps_probabilities
 from repro.core.types import Dataset
 from repro.summaries.base import IncrementalSummary, coerce_batch
 
@@ -66,12 +69,25 @@ def varopt_summary(
     )
 
 
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """A read-only view: the reservoir's snapshots share its arrays."""
+    view = array.view()
+    view.setflags(write=False)
+    return view
+
+
+#: The empty reservoir's weights (shared: updates never write in place).
+_NO_WEIGHTS = _frozen(np.empty(0))
+
+
 class StreamVarOpt(IncrementalSummary):
     """One-pass VarOpt_s reservoir sampling over a weighted stream.
 
-    Feed items with :meth:`feed`; read the sample at any time with
-    :meth:`summary`.  The realized sample size is exactly
-    ``min(s, #positive items fed)``.
+    Feed micro-batches with :meth:`update` (or single items with
+    :meth:`feed`); read the sample at any time with :meth:`summary`.
+    The realized sample size is exactly ``min(s, #positive items
+    fed)`` and :attr:`tau` equals the offline threshold ``tau_s`` of
+    the prefix, whatever the batch boundaries.
 
     The reservoir is the sampling methods' native carrier of the
     incremental summary protocol: :meth:`update` feeds a micro-batch
@@ -88,14 +104,20 @@ class StreamVarOpt(IncrementalSummary):
 
     Implementation notes
     --------------------
-    Light items all behave as if they weigh the current threshold
-    ``tau``, so eviction only needs the light *count* and a uniform
-    choice among lights; heavy items keep exact weights in a min-heap
-    and migrate to the light region as ``tau`` rises past them.
+    The sample is two arrays: ``(k, d)`` int64 coordinates and the
+    original weights.  A sampled key's adjusted weight is
+    ``max(w, tau)``.  :meth:`update` takes the sample at adjusted
+    weights together with the batch at raw weights, sets ``tau' =
+    max(tau, tau_s(all))`` and ``p = min(1, a / tau')``, and
+    pair-aggregates the fractional entries in random order
+    (:func:`~repro.core.estimator.reaggregate_indices`).  By the VarOpt
+    recursion the kept rows are a VarOpt_s sample of the whole prefix.
+    With a full reservoir and one new item the ``s + 1`` probabilities
+    sum to ``s``, so exactly one entry drops, entry ``i`` with
+    probability ``1 - p_i``: the classic per-item eviction rule.
+    Updates bind new arrays and never write into old ones, so
+    snapshots share them without copying.
     """
-
-    #: Items per vectorized-prefix scan in :meth:`update`.
-    _BULK_CHUNK = 1024
 
     def __init__(self, s: int, rng=None):
         if s < 1:
@@ -105,11 +127,10 @@ class StreamVarOpt(IncrementalSummary):
             rng = np.random.default_rng(rng)
         self._rng = rng
         self._tau = 0.0
-        self._counter = 0  # tiebreaker for the heap
-        # Heap entries: (weight, counter, key, weight) -- key is any payload.
-        self._heavy: List[Tuple[float, int, tuple, float]] = []
-        # Light entries: (key, original_weight); adjusted weight is tau.
-        self._light: List[Tuple[tuple, float]] = []
+        # ``(k, d)`` sampled coordinates; None until the first key
+        # fixes the width.
+        self._coords = None
+        self._weights = _NO_WEIGHTS
         self._items_seen = 0
 
     @property
@@ -125,127 +146,48 @@ class StreamVarOpt(IncrementalSummary):
     @property
     def current_size(self) -> int:
         """Number of items currently in the reservoir."""
-        return len(self._heavy) + len(self._light)
+        return self._weights.shape[0]
 
     def feed(self, key, weight: float) -> None:
-        """Process one stream item."""
-        if weight < 0:
-            raise ValueError("weights must be non-negative")
-        if weight == 0:
-            return
-        self._items_seen += 1
-        self._push_heavy(key, float(weight))
-        if self.current_size <= self._s:
-            return
-        self._evict_one()
-
-    def feed_many(self, keys: Sequence, weights: Sequence[float]) -> None:
-        """Process a batch of items in order."""
-        for key, weight in zip(keys, weights):
-            self.feed(key, float(weight))
+        """Process one stream item (a one-item :meth:`update`)."""
+        self.update([key], [weight])
 
     # ------------------------------------------------------------------
     # Incremental summary protocol
     # ------------------------------------------------------------------
     def update(self, keys, weights) -> None:
-        """Feed one micro-batch (an ``(n, d)`` array or key tuples).
+        """Fold one micro-batch (an ``(n, d)`` array or key tuples) in.
 
-        Vectorized bulk path: once the reservoir is full, a run of
-        items that are each *light* at their turn (weight at or below
-        the running threshold) and leave the heavy heap untouched is
-        processed in one NumPy pass -- the per-item heap work
-        disappears and only the (rare) accepted items pay Python-level
-        cost.  The bulk pass realizes exactly the same per-item
-        accept/evict distribution as :meth:`feed` (see
-        :meth:`_bulk_light_prefix`), so streamed samples remain VarOpt
-        samples; items that do not qualify fall back to :meth:`feed`
-        one at a time.
+        Raises ``ValueError``, before any state changes, on a batch
+        with a negative, NaN or infinite weight, a fractional key, or
+        keys of another width than earlier batches.  Zero-weight items
+        are skipped.
         """
-        coords, weights = coerce_batch(keys, weights)
-        if weights.size and float(weights.min()) < 0:
-            raise ValueError("weights must be non-negative")
+        dims = None if self._coords is None else self._coords.shape[1]
+        coords, weights = coerce_batch(keys, weights, dims=dims)
+        check_weights(weights)
+        if coords.shape[0] == 0:
+            return
+        if self._coords is None:
+            self._coords = np.empty((0, coords.shape[1]), dtype=np.int64)
         positive = weights > 0
         if not positive.all():
             coords = coords[positive]
             weights = weights[positive]
         n = weights.shape[0]
-        pos = 0
-        while pos < n:
-            if self.current_size < self._s or not self._light:
-                self.feed(tuple(coords[pos].tolist()), float(weights[pos]))
-                pos += 1
-                continue
-            # Scan a bounded chunk: a disqualifying item would otherwise
-            # make every retry re-cumsum the whole remaining batch.
-            m, taus_before, taus_after = self._bulk_light_prefix(
-                weights[pos:pos + self._BULK_CHUNK]
-            )
-            if m == 0:
-                self.feed(tuple(coords[pos].tolist()), float(weights[pos]))
-                pos += 1
-                continue
-            self._bulk_light_feed(
-                coords[pos:pos + m],
-                weights[pos:pos + m],
-                taus_before[:m],
-                taus_after[:m],
-            )
-            pos += m
-
-    def _bulk_light_prefix(self, weights: np.ndarray):
-        """Longest prefix the vectorized light path may absorb.
-
-        With the reservoir full and ``c = len(light) >= 1``, feeding an
-        item of weight ``w <= tau`` runs :meth:`_evict_one` with a pool
-        of exactly the ``c`` light items plus the new item whenever the
-        heavy-heap minimum exceeds the new threshold
-        ``tau' = tau + w/c``: the new item is the heap minimum, is
-        popped unconditionally (``w <= tau < c*tau/(c-1)``), and the
-        pop loop stops right after.  Both conditions are checked here
-        against the *running* threshold (``tau`` grows by ``w_i/c`` per
-        item while the light count stays ``c`` in every branch), so
-        every item in the returned prefix takes that exact code path.
-        """
-        c = len(self._light)
-        cum = np.cumsum(weights)
-        taus_after = self._tau + cum / c
-        taus_before = taus_after - weights / c
-        ok = weights <= taus_before
-        if self._heavy:
-            ok &= taus_after < self._heavy[0][0]
-        bad = np.flatnonzero(~ok)
-        m = int(bad[0]) if bad.size else weights.shape[0]
-        return m, taus_before, taus_after
-
-    def _bulk_light_feed(
-        self,
-        coords: np.ndarray,
-        weights: np.ndarray,
-        taus_before: np.ndarray,
-        taus_after: np.ndarray,
-    ) -> None:
-        """Absorb a qualifying run of light items in one pass.
-
-        Per item, :meth:`_evict_one` restricted to the lights-plus-new
-        pool drops the new item with probability ``1 - w/tau'`` and
-        otherwise replaces a uniformly chosen light item -- the light
-        count never changes.  Drawing all the accept coins and victim
-        indices at once therefore realizes the identical distribution
-        without touching the heap.
-        """
-        m = weights.shape[0]
-        c = len(self._light)
-        accept = self._rng.random(m) < c * (1.0 - taus_before / taus_after)
-        self._items_seen += m
-        self._tau = float(taus_after[-1])
-        accepted = np.flatnonzero(accept)
-        if accepted.size:
-            victims = self._rng.integers(0, c, size=accepted.size)
-            for index, victim in zip(accepted.tolist(), victims.tolist()):
-                self._light[victim] = (
-                    tuple(coords[index].tolist()),
-                    float(weights[index]),
-                )
+        if n == 0:
+            return
+        coords = np.concatenate((self._coords, coords))
+        adjusted = np.concatenate(
+            (np.maximum(self._weights, self._tau), weights)
+        )
+        weights = np.concatenate((self._weights, weights))
+        included, self._tau = reaggregate_indices(
+            adjusted, self._tau, self._s, self._rng
+        )
+        self._coords = _frozen(coords[included])
+        self._weights = _frozen(weights[included])
+        self._items_seen += n
 
     def snapshot(self) -> SampleSummary:
         """Freeze the reservoir into a :class:`SampleSummary`."""
@@ -261,58 +203,10 @@ class StreamVarOpt(IncrementalSummary):
         """Number of positive-weight items fed so far."""
         return self._items_seen
 
-    def _push_heavy(self, key, weight: float) -> None:
-        self._counter += 1
-        heapq.heappush(self._heavy, (weight, self._counter, key, weight))
-
-    def _evict_one(self) -> None:
-        # Build the candidate pool: all light items plus heavy items that
-        # fall at or below the new threshold, found by popping the heap.
-        pool_count = len(self._light)
-        pool_sum = pool_count * self._tau
-        popped: List[Tuple[float, int, tuple, float]] = []
-        tau_new = None
-        while True:
-            if pool_count >= 2:
-                candidate = pool_sum / (pool_count - 1)
-                if not self._heavy or self._heavy[0][0] > candidate:
-                    tau_new = candidate
-                    break
-            entry = heapq.heappop(self._heavy)
-            popped.append(entry)
-            pool_sum += entry[0]
-            pool_count += 1
-        # Choose the victim: each pool item is dropped with probability
-        # 1 - (its weight) / tau_new; the probabilities sum to one.
-        u = float(self._rng.random()) * 1.0
-        light_mass = len(self._light) * (1.0 - self._tau / tau_new)
-        if u < light_mass and self._light:
-            victim = self._rng.integers(len(self._light))
-            self._light[victim] = self._light[-1]
-            self._light.pop()
-        else:
-            u -= light_mass
-            victim_idx = None
-            for idx, (w, _c, _k, _w0) in enumerate(popped):
-                drop_p = 1.0 - w / tau_new
-                if u < drop_p:
-                    victim_idx = idx
-                    break
-                u -= drop_p
-            if victim_idx is None:
-                # Numerical slack: drop the last popped candidate.
-                victim_idx = len(popped) - 1
-            popped.pop(victim_idx)
-        # Survivors of the pool join the light region at the new threshold.
-        for _w, _c, key, w0 in popped:
-            self._light.append((key, w0))
-        self._tau = tau_new
-
     def sample_items(self) -> List[Tuple[tuple, float]]:
         """Current reservoir as ``(key, original_weight)`` pairs."""
-        items = [(key, w0) for _w, _c, key, w0 in self._heavy]
-        items.extend(self._light)
-        return items
+        keys = [] if self._coords is None else self._coords.tolist()
+        return list(zip(map(tuple, keys), self._weights.tolist()))
 
     # ------------------------------------------------------------------
     # Wire codec hooks (repro.distributed.codec)
@@ -322,57 +216,84 @@ class StreamVarOpt(IncrementalSummary):
 
         Includes the generator state, so a worker can be migrated
         mid-stream: the reconstructed sampler continues the stream with
-        exactly the eviction decisions the original would have made.
+        exactly the draws the original would have made.  ``coords`` is
+        ``None`` until the first key fixes the width.
         """
         return {
             "s": self._s,
             "tau": self._tau,
-            "counter": self._counter,
             "items_seen": self._items_seen,
-            "heavy": [
-                (w, c, tuple(key), w0) for w, c, key, w0 in self._heavy
-            ],
-            "light": [(tuple(key), w0) for key, w0 in self._light],
+            "coords": self._coords,
+            "weights": self._weights,
             "rng": self._rng.bit_generator.state,
         }
 
     @classmethod
     def from_state(cls, state: dict) -> "StreamVarOpt":
-        """Rebuild a live reservoir from :meth:`to_state` output."""
-        sampler = cls(state["s"])
+        """Rebuild a live reservoir from :meth:`to_state` output.
+
+        Raises ``ValueError`` on a state no reservoir can be in: ``s <
+        1``; coordinates that are not a ``(k, d)`` integer array with
+        ``k`` equal to the number of weights and at most ``s``; weights
+        that are not finite and positive; a negative or non-finite
+        ``tau``; ``items_seen < k``; or an unknown bit generator.
+        Frames of the heap-based reservoir (``heavy``/``light`` item
+        lists and a tie ``counter``) convert exactly: the same keys,
+        weights, ``tau``, ``items_seen`` and generator state.
+        """
+        sampler = cls(int(state["s"]))
+        coords = state.get("coords")
+        if "heavy" in state:
+            items = [(key, w) for _w, _c, key, w in state["heavy"]]
+            items += state["light"]
+            coords = [key for key, _w in items] if items else None
+            state = dict(state, weights=[w for _key, w in items])
+        weights = np.asarray(state["weights"], dtype=float)
+        k = weights.shape[0] if weights.ndim == 1 else -1
+        if coords is not None:
+            coords = np.asarray(coords)
+            if (coords.ndim != 2 or coords.shape[1] < 1
+                    or coords.dtype.kind not in "iu"):
+                raise ValueError("reservoir coords must be a (k, d) "
+                                 "integer array")
+        if (0 if coords is None else coords.shape[0]) != k or k > sampler.s:
+            raise ValueError("reservoir needs one coordinate row per "
+                             f"weight and at most s={sampler.s} rows")
+        if not (np.isfinite(weights).all() and bool(np.all(weights > 0))):
+            raise ValueError("reservoir weights must be finite and "
+                             "positive")
+        tau, items_seen = float(state["tau"]), int(state["items_seen"])
+        if not (np.isfinite(tau) and tau >= 0 and items_seen >= k):
+            raise ValueError("reservoir needs a finite tau >= 0 and "
+                             "items_seen >= its size")
         # Honor whatever bit generator the original sampler ran on --
         # the state dict names it (PCG64, MT19937, Philox, ...).
-        bit_generator = getattr(
-            np.random, str(state["rng"]["bit_generator"])
-        )()
+        name = state["rng"]["bit_generator"]
+        kind = getattr(np.random, str(name), None)
+        if not (isinstance(kind, type)
+                and issubclass(kind, np.random.BitGenerator)):
+            raise ValueError(f"unknown bit generator {name!r}")
+        bit_generator = kind()
         bit_generator.state = state["rng"]
         sampler._rng = np.random.Generator(bit_generator)
-        sampler._tau = float(state["tau"])
-        sampler._counter = int(state["counter"])
-        sampler._items_seen = int(state["items_seen"])
-        sampler._heavy = [
-            (float(w), int(c), tuple(key), float(w0))
-            for w, c, key, w0 in state["heavy"]
-        ]
-        sampler._light = [
-            (tuple(key), float(w0)) for key, w0 in state["light"]
-        ]
+        sampler._tau, sampler._items_seen = tau, items_seen
+        if coords is not None:
+            sampler._coords = _frozen(coords.astype(np.int64, copy=False))
+            sampler._weights = _frozen(weights)
         return sampler
 
     def summary(self) -> SampleSummary:
-        """The current reservoir as a :class:`SampleSummary`."""
-        items = self.sample_items()
-        if not items:
-            return SampleSummary(
-                coords=np.empty((0, 1), dtype=np.int64),
-                weights=np.empty(0),
-                tau=self._tau,
-            )
-        coords = np.asarray([key for key, _w in items], dtype=np.int64)
-        if coords.ndim == 1:
-            coords = coords.reshape(-1, 1)
-        weights = np.asarray([w for _k, w in items], dtype=float)
-        return SampleSummary(coords=coords, weights=weights, tau=self._tau)
+        """The current reservoir as a :class:`SampleSummary`.
+
+        Wraps the reservoir's arrays without copying; they are
+        read-only and no later update writes into them.
+        """
+        coords = self._coords
+        if coords is None:
+            coords = np.empty((0, 1), dtype=np.int64)
+        return SampleSummary(
+            coords=coords, weights=self._weights, tau=self._tau
+        )
 
 
 def stream_varopt_summary(
@@ -382,9 +303,7 @@ def stream_varopt_summary(
 ) -> SampleSummary:
     """One-pass structure-oblivious VarOpt summary of a dataset.
 
-    Replays the dataset through the reservoir's vectorized bulk feed
-    (:meth:`StreamVarOpt.update`), which realizes the same per-item
-    accept/evict distribution as feeding the items one at a time.
+    The whole dataset is one :meth:`StreamVarOpt.update` batch.
     """
     sampler = StreamVarOpt(s, rng)
     sampler.update(dataset.coords, dataset.weights)

@@ -257,14 +257,18 @@ class LogCheckpointStore(CheckpointStore):
 
     @staticmethod
     def _frame(record: Record, *, compress: bool) -> bytes:
-        body = bytes([_KIND_CODES[record.kind]]) + codec.encode_value(
+        # body = kind byte + encoded value; its CRC chains over the two
+        # parts, so the (batch-sized) value is copied once, by the join.
+        kind = bytes([_KIND_CODES[record.kind]])
+        value = codec.encode_value(
             {"stream": record.stream, "payload": record.payload},
             compress=compress,
         )
         header = _HEADER.pack(
-            len(body), record.seq, record.pane, zlib.crc32(body)
+            len(value) + 1, record.seq, record.pane,
+            zlib.crc32(value, zlib.crc32(kind)),
         )
-        return header + body
+        return b"".join((header, kind, value))
 
     def _rewrite(self, stream: str) -> None:
         """Atomically replace the stream's file with its live records."""

@@ -473,7 +473,10 @@ class StreamEngine:
         pre-state re-anchors the clocks (see ``DURABILITY.md``).  The
         record's ``pane`` is the batch's *last* destination pane, so a
         boundary-straddling batch outlives the seal of the pane it
-        started in.
+        started in.  When every axis of the domain fits in 32 bits (the
+        network domain's do), the keys are logged as ``uint32``: half
+        the bytes to checksum and write, and replay casts them back to
+        the same int64 keys.
         """
         if self._window is None:
             pane = 0
@@ -483,8 +486,11 @@ class StreamEngine:
             pane = int(float(batch.timestamp) // self._window.pane)
         else:
             pane = int(float(self._batches) // self._window.pane)
+        coords = batch.coords
+        if max(self._domain.sizes) <= 1 << 32:
+            coords = coords.astype(np.uint32)
         self._store.append(self._stream_id, "batch", {
-            "coords": batch.coords,
+            "coords": coords,
             "weights": batch.weights,
             "timestamp": batch.timestamp,
             "timestamps": batch.timestamps,

@@ -3,8 +3,9 @@
 Two ways to keep a summary of a live feed:
 
 * **Native** -- the structure itself is updatable: the VarOpt reservoir
-  (``obliv``), the exact store (``exact``), Count-Sketch tables
-  (``sketch``), and the classic streaming q-digest
+  (``obliv``, which folds each micro-batch into its sample with one
+  threshold and one aggregation chain), the exact store (``exact``),
+  Count-Sketch tables (``sketch``), and the classic streaming q-digest
   (``qdigest-stream``).  Updates are cheap and snapshots are
   effectively free.
 * **Buffered rebuild** -- batch-only builders (the structure-aware

@@ -72,6 +72,8 @@ def coerce_batch(
         # reshaped into wrong-dimensional keys.
         if dims == 1 or (dims is None and weights.shape[0] == raw.shape[0]):
             coords = raw.reshape(-1, 1)
+        elif raw.shape[0] == 0 == weights.shape[0]:
+            coords = raw.reshape(0, dims)  # an empty batch, any width
         else:
             coords = raw.reshape(1, -1)
     elif raw.ndim == 2:

@@ -296,6 +296,49 @@ class TestOutOfDomainRejected:
         store.close()
 
 
+class TestBatchRecordKeyWidth:
+    """Batch records carry ``uint32`` keys when every axis of the domain
+    fits in 32 bits, ``int64`` keys otherwise; replay casts both back to
+    the same int64 keys, and logs written with int64 keys still
+    restore."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("bits,dtype", [(32, np.uint32), (33, np.int64)])
+    def test_logged_dtype_follows_domain(self, backend, bits, dtype,
+                                         tmp_path):
+        wide = ProductDomain([OrderedDomain(1 << bits), OrderedDomain(64)])
+        store = make_store(backend, tmp_path)
+        engine = StreamEngine(wide, ["obliv", "exact"], 16, seed=2,
+                              store=store, stream_id="s")
+        keys = np.array([[0, 0], [(1 << bits) - 1, 63], [7, 5]])
+        engine.process(MicroBatch(keys, np.ones(3)))
+        (batch,) = [r for r in store.records("s") if r.kind == "batch"]
+        assert batch.payload["coords"].dtype == dtype
+        np.testing.assert_array_equal(batch.payload["coords"], keys)
+        restored = StreamEngine.restore(store, "s")
+        assert restored.snapshot("exact").coords.dtype == np.int64
+        assert frames(restored) == frames(engine)
+        store.close()
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_int64_batch_records_restore(self, backend, tmp_path):
+        data = stamped_batches(4, n_batches=10)
+        store = make_store(backend, tmp_path, "narrow")
+        engine = kill_and_restore(store, sliding(6.0, 2.0), data, 4,
+                                  kill_at=len(data))
+        older = make_store(backend, tmp_path, "wide")
+        for record in store.records("s"):
+            payload = record.payload
+            if record.kind == "batch":
+                assert payload["coords"].dtype == np.uint32
+                payload = dict(payload,
+                               coords=payload["coords"].astype(np.int64))
+            older.append("s", record.kind, payload, pane=record.pane)
+        assert frames(StreamEngine.restore(older, "s")) == frames(engine)
+        store.close()
+        older.close()
+
+
 class TestFractionalKeysRejected:
     """A fractional, NaN or infinite key is refused before the log.
 

@@ -84,12 +84,12 @@ class TestStreamVarOptIncremental:
     def test_update_matches_feed(self):
         """``update`` and per-item ``feed`` build the same VarOpt sample.
 
-        The vectorized bulk path consumes the generator in batches, so
-        the two reservoirs realize different (equally valid) inclusion
-        draws -- but every *sample-path-deterministic* property of
-        VarOpt must agree exactly: the threshold (the offline tau of
-        the prefix), the sample size, and exact retention of every
-        above-threshold item.
+        One batch and one-item updates consume the generator
+        differently, so the two reservoirs realize different (equally
+        valid) inclusion draws -- but every *sample-path-deterministic*
+        property of VarOpt must agree exactly: the threshold (the
+        offline tau of the prefix), the sample size, and exact
+        retention of every above-threshold item.
         """
         data = skewed_dataset(n=400)
         a = StreamVarOpt(60, rng=123)
@@ -118,14 +118,14 @@ class TestStreamVarOptIncremental:
                 assert kept[key] == weight
 
     def test_update_bulk_path_unbiased(self):
-        """The bulk light path keeps subset-sum estimates unbiased."""
+        """Micro-batch updates keep subset-sum estimates unbiased."""
         data = skewed_dataset(n=1500, seed=11, dims=1)
         box = Box((0,), ((1 << 16) // 3,))
         truth = float(data.weights[box.contains(data.coords)].sum())
         estimates = []
         for seed in range(60):
             sampler = StreamVarOpt(80, rng=seed)
-            # Micro-batches exercise full/partial bulk prefixes.
+            # Batches after the first fold into a full reservoir.
             for start in range(0, data.n, 250):
                 sampler.update(
                     data.coords[start:start + 250],

@@ -15,8 +15,7 @@ from repro.twopass.two_pass import TwoPassSampler, two_pass_summary
 
 def guide_sample(dataset, size, seed):
     sampler = StreamVarOpt(size, np.random.default_rng(seed))
-    for key, weight in dataset.iter_items():
-        sampler.feed(key, weight)
+    sampler.update(dataset.coords, dataset.weights)
     return sampler.sample_items()
 
 

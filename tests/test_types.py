@@ -25,6 +25,32 @@ class TestConstruction:
         data = Dataset.from_items([((1, 2), 1.0), ((3, 4), 2.0)], domain)
         assert data.dims == 2
 
+    def test_from_items_empty(self):
+        data = Dataset.from_items([], line_domain(8))
+        assert data.n == 0 and data.coords.shape == (0, 1)
+        domain = ProductDomain([BitHierarchy(4), BitHierarchy(4)])
+        assert Dataset.from_items(iter(()), domain).coords.shape == (0, 2)
+
+    @pytest.mark.parametrize("items,dims,index,length", [
+        ([(1, 1.0), ((2, 3), 1.0)], 1, 1, 2),        # 2-D key, 1-D domain
+        ([((1, 2), 1.0), ((3,), 1.0)], 2, 1, 1),     # ragged keys
+        ([((1, 2), 1.0), ((3, 4, 5), 1.0)], 2, 1, 3),
+        ([(7, 1.0)], 2, 0, 1),                       # scalar on 2-D
+    ])
+    def test_from_items_names_wrong_key_length(
+        self, items, dims, index, length
+    ):
+        domain = (
+            line_domain(10) if dims == 1
+            else ProductDomain([BitHierarchy(4), BitHierarchy(4)])
+        )
+        message = (
+            f"key {index} has {length} coordinates but the domain has "
+            f"{dims} axes"
+        )
+        with pytest.raises(ValueError, match=message):
+            Dataset.from_items(items, domain)
+
     def test_rejects_negative_weights(self):
         with pytest.raises(ValueError):
             Dataset.one_dimensional([1], [-1.0], size=10)
