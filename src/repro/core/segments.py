@@ -1,8 +1,8 @@
-"""Segmented array passes shared by the level-synchronous tree builds.
+"""Segmented array passes of the level-synchronous kd build.
 
-The kd partition and the batch q-digest keep each tree node's points
-as one contiguous *segment* of a row array and treat all nodes of a
-level in a few NumPy passes.  Sums stay bit-identical to per-node
+The kd partition and the kd-product sampler keep each tree node's
+points as one contiguous *segment* of a row array and treat all nodes
+of a level in a few NumPy passes.  Sums stay bit-identical to per-node
 ``ndarray.sum()`` / ``np.cumsum`` calls, which ``np.add.reduceat`` and
 a global cumsum minus offsets are not (they round differently).
 """

@@ -149,7 +149,6 @@ class WorkerRuntime:
         """
         domain = codec.decode_domain(message["domain"])
         seed = int(message["seed"])
-        stale = float(message.get("stale_fraction", 0.0))
         window_spec = message.get("window")
         if window_spec is not None:
             from repro.stream.engine import StreamEngine, Window
@@ -164,7 +163,6 @@ class WorkerRuntime:
                     float(window_spec["pane"]),
                 ),
                 seed=seed,
-                stale_fraction=stale,
             )
             return {
                 "engine": engine,
@@ -179,7 +177,6 @@ class WorkerRuntime:
                 domain,
                 int(message["size"]),
                 seed=derive_seed(seed, name),
-                stale_fraction=stale,
             )
             for name in message["methods"]
         }
@@ -361,9 +358,6 @@ class WorkerRuntime:
                         domain=domain,
                         size=int(message["size"]),
                         seed=derive_seed(seed, name),
-                        stale_fraction=float(
-                            message.get("stale_fraction", 0.0)
-                        ),
                     )
                     for name, spec in state["incs"].items()
                 }

@@ -74,19 +74,16 @@ def decode_incremental(
     domain,
     size: int,
     seed: int,
-    stale_fraction: float = 0.0,
 ):
     """Rebuild a live incremental summary from its persisted spec.
 
-    ``name``/``domain``/``size``/``seed``/``stale_fraction`` are the
-    constructor arguments the original summary was built with (the
-    engine knows them; they are not duplicated per record).
+    ``name``/``domain``/``size``/``seed`` are the constructor
+    arguments the original summary was built with (the engine knows
+    them; they are not duplicated per record).
     """
     if spec["kind"] == "native":
         return _decode_with_version(spec)
-    inc = incremental_summary(
-        name, domain, size, seed, stale_fraction=stale_fraction
-    )
+    inc = incremental_summary(name, domain, size, seed)
     if not isinstance(inc, BufferedRebuildSummary):
         raise ValueError(
             f"method {name!r} is native but was persisted as buffered"

@@ -140,9 +140,6 @@ class StreamEngine:
     seed:
         Root seed for all randomness (pane samplers, fold merges);
         engines sharing a seed and a stream are identical.
-    stale_fraction:
-        Snapshot staleness tolerated by buffered-rebuild methods (see
-        :class:`~repro.stream.incremental.BufferedRebuildSummary`).
     on_pane_sealed:
         Optional hand-off hook ``(pane_index, {method: summary})``
         invoked whenever a pane is sealed (the stream clock left it
@@ -182,7 +179,6 @@ class StreamEngine:
         *,
         window: Optional[Window] = None,
         seed: int = 0,
-        stale_fraction: float = 0.0,
         on_pane_sealed=None,
         registry=None,
         store=None,
@@ -197,7 +193,6 @@ class StreamEngine:
         self._size = int(size)
         self._window = window
         self._seed = int(seed)
-        self._stale_fraction = float(stale_fraction)
         self._on_pane_sealed = on_pane_sealed
         self._panes: List[_Pane] = []
         self._last_completed: Optional[List[_Pane]] = None
@@ -381,7 +376,6 @@ class StreamEngine:
                 self._domain,
                 self._size,
                 seed=derive_seed(self._seed, name, index),
-                stale_fraction=self._stale_fraction,
             )
             for name in self._methods
         }
@@ -460,7 +454,6 @@ class StreamEngine:
             "methods": list(self._methods),
             "size": self._size,
             "seed": self._seed,
-            "stale_fraction": self._stale_fraction,
             "window": window,
             "domain": codec.encode_domain(self._domain),
         })
@@ -626,7 +619,6 @@ class StreamEngine:
             int(cfg["size"]),
             window=window,
             seed=int(cfg["seed"]),
-            stale_fraction=float(cfg["stale_fraction"]),
             on_pane_sealed=on_pane_sealed,
             registry=registry,
         )
@@ -695,7 +687,6 @@ class StreamEngine:
                         domain=self._domain,
                         size=self._size,
                         seed=derive_seed(self._seed, name, index),
-                        stale_fraction=self._stale_fraction,
                     )
                     for name, spec in entry["incs"].items()
                 },

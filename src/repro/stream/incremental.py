@@ -91,12 +91,6 @@ class BufferedRebuildSummary(IncrementalSummary):
     min_buffer:
         No automatic rebuild before this many items (snapshot-forced
         rebuilds ignore it).
-    stale_fraction:
-        Staleness :meth:`snapshot` tolerates: a snapshot reuses the
-        last build while the unbuilt tail is at most this fraction of
-        the built size.  0 (default) means snapshots are always fresh;
-        raising it trades bounded staleness for fewer rebuilds under
-        frequent queries.
     """
 
     def __init__(
@@ -108,12 +102,9 @@ class BufferedRebuildSummary(IncrementalSummary):
         *,
         growth: float = 2.0,
         min_buffer: int = 1024,
-        stale_fraction: float = 0.0,
     ):
         if growth <= 1.0:
             raise ValueError("growth must be > 1 for geometric amortization")
-        if stale_fraction < 0:
-            raise ValueError("stale_fraction must be non-negative")
         self._builder = (
             registry.get(builder) if isinstance(builder, str) else builder
         )
@@ -122,7 +113,6 @@ class BufferedRebuildSummary(IncrementalSummary):
         self._seed = int(seed)
         self._growth = float(growth)
         self._min_buffer = int(min_buffer)
-        self._stale_fraction = float(stale_fraction)
         # The buffered stream itself is an incremental exact store.
         self._buffer = ExactSummary.empty(domain.dims)
         self._built = None
@@ -140,17 +130,15 @@ class BufferedRebuildSummary(IncrementalSummary):
             self._rebuild()
 
     def snapshot(self):
-        """The batch summary of (almost) everything buffered so far.
+        """The batch summary of everything buffered so far.
 
-        Rebuilds first when the unbuilt tail exceeds the configured
-        ``stale_fraction``; with the default 0 the snapshot always
-        reflects every update.  An empty stream snapshots to an empty
-        exact store (zero on every query).
+        Rebuilds first when items arrived since the last build.  An
+        empty stream snapshots to an empty exact store (zero on every
+        query).
         """
         if self.items_buffered == 0:
             return ExactSummary.empty(self._domain.dims)
-        tail = self.items_buffered - self._built_n
-        if self._built is None or tail > self._stale_fraction * self._built_n:
+        if self._built is None or self._built_n < self.items_buffered:
             self._rebuild()
         return self._built
 
@@ -225,7 +213,6 @@ def incremental_summary(
     size: int,
     seed: int = 0,
     *,
-    stale_fraction: float = 0.0,
     growth: float = 2.0,
 ) -> IncrementalSummary:
     """An incremental summary for any registered method name.
@@ -242,6 +229,5 @@ def incremental_summary(
         domain,
         size,
         seed=seed,
-        stale_fraction=stale_fraction,
         growth=growth,
     )

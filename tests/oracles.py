@@ -24,17 +24,17 @@ consumption order.  ``tests/test_kernel_equivalence.py`` and
 ``tests/test_kd.py`` and ``tests/test_tree_build_oracles.py`` pin the
 array-native kd build to the recursion node for node.
 
-The batch q-digest's greedy build lives here as its heap loop, one pop
-and one ``Box`` split at a time (``qdigest_leaves``);
-``tests/test_tree_build_oracles.py`` compares the array-native build's
+The batch q-digest's greedy build lives here as its heap walk over the
+Morton trie, one pop and one split at a time (``qdigest_leaves``);
+``tests/test_tree_build_oracles.py`` compares the radix-tree selection's
 leaves with it bitwise.  The streaming q-digest's build lives here as
 its dict walk, one item and one node at a time (``DictQDigest``);
 ``tests/test_qdigest_stream.py`` compares the array build's nodes,
 counts and scalars with it bitwise.
 """
 
+import bisect
 import heapq
-import itertools
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -54,6 +54,7 @@ from repro.core.ipps import (
     ipps_probabilities,
     ipps_threshold,
 )
+from repro.structures.morton import MortonLayout
 from repro.structures.order import OrderedDomain
 from repro.structures.ranges import compile_query_plan
 from repro.summaries.base import IncrementalSummary, coerce_batch
@@ -1074,85 +1075,54 @@ def product_aware_sample(
 # ----------------------------------------------------------------------
 # Batch q-digest: the greedy heavy-first split, one heap pop at a time
 # ----------------------------------------------------------------------
-def _split_qdigest_cell(cell, depth, coords, weights, dims):
-    """Split a leaf at the dyadic midpoint, cycling the axes.
-
-    Empty halves are skipped for free: the cell's box shrinks in place
-    to the occupied half (so a single remaining point ends up in its
-    exact 1x1 cell).  Returns ``None`` when the box cannot be halved
-    with points on both sides of any axis.
-    """
-    while True:
-        progressed = False
-        for offset in range(dims):
-            axis = (depth + offset) % dims
-            lo, hi = cell["box"].side(axis)
-            if lo >= hi:
-                continue
-            mid = lo + ((hi - lo) >> 1)
-            values = coords[cell["indices"], axis]
-            left_mask = values <= mid
-            left_box, right_box = cell["box"].split(axis, mid)
-            if left_mask.all():
-                cell["box"] = left_box
-                depth += 1
-                progressed = True
-                break
-            if not left_mask.any():
-                cell["box"] = right_box
-                depth += 1
-                progressed = True
-                break
-            left_idx = cell["indices"][left_mask]
-            right_idx = cell["indices"][~left_mask]
-            return [
-                {"box": left_box, "weight": float(weights[left_idx].sum()),
-                 "indices": left_idx},
-                {"box": right_box, "weight": float(weights[right_idx].sum()),
-                 "indices": right_idx},
-            ]
-        if not progressed:
-            return None
-
-
 def qdigest_leaves(dataset, s: int):
     """The batch q-digest's leaves as ``(lows, highs, weights)``.
 
-    The greedy build as written: a max-heap on weight (ties by
-    insertion counter) pops the heaviest leaf and splits it until the
-    node budget ``s`` is reached; leaves are the popped unsplittable
-    cells, then the heap list in its order.  Boxes come back as int64
-    ``(L, d)`` arrays, in leaf order.
+    The greedy build as written, over the Morton trie: a max-heap pops
+    the heaviest cell (ties: the shorter code prefix, then the earlier
+    code) and splits it where its keys' codes part, until the node
+    budget ``s`` is reached.  A cell is a run of the sorted distinct
+    codes, boxed by their longest common prefix, and weighs the
+    difference of two entries of one prefix sum over the code-sorted
+    weights.  Leaves are the unsplit cells in Morton order; boxes come
+    back as int64 ``(L, d)`` arrays.
     """
-    coords, weights = dataset.coords, dataset.weights
-    dims = dataset.dims
-    root = {
-        "box": dataset.domain.full_box(),
-        "weight": float(weights.sum()),
-        "indices": np.arange(dataset.n),
-    }
-    counter = itertools.count()
-    heap = [(-root["weight"], next(counter), 0, root)]
-    done = []
+    layout = MortonLayout.for_domain(dataset.domain)
+    bits = layout.bits
+    if dataset.n == 0:
+        lows, highs = layout.decode(np.zeros(1, dtype=np.uint64), 0)
+        return lows, highs, np.zeros(1)
+    codes = layout.encode(dataset.coords)
+    order = np.argsort(codes, kind="stable")
+    prefix = np.concatenate(([0.0], np.cumsum(dataset.weights[order])))
+    keys, rows = [], []
+    for row, code in enumerate(codes[order].tolist()):
+        if not keys or keys[-1] != code:
+            keys.append(code)
+            rows.append(row)
+    rows.append(dataset.n)
+
+    def cell(a, b):
+        weight = float(prefix[rows[b + 1]] - prefix[rows[a]])
+        return (-weight, bits - (keys[a] ^ keys[b]).bit_length(), a, b)
+
+    heap, done = [cell(0, len(keys) - 1)], []
     while heap and len(heap) + len(done) < s:
-        _neg_w, _tick, depth, cell = heapq.heappop(heap)
-        children = _split_qdigest_cell(cell, depth, coords, weights, dims)
-        if children is None:
-            done.append(cell)
+        entry = heapq.heappop(heap)
+        _neg_w, common, a, b = entry
+        if a == b:
+            done.append(entry)
             continue
-        for child in children:
-            if child["indices"].size:
-                heapq.heappush(
-                    heap, (-child["weight"], next(counter), depth + 1, child)
-                )
-    leaves = done + [entry[3] for entry in heap]
-    lows = np.asarray([c["box"].lows for c in leaves], dtype=np.int64)
-    highs = np.asarray([c["box"].highs for c in leaves], dtype=np.int64)
-    return (
-        lows.reshape(len(leaves), dims),
-        highs.reshape(len(leaves), dims),
-        np.asarray([c["weight"] for c in leaves], dtype=float),
+        low = bits - 1 - common  # the bit where the cell's codes part
+        split = bisect.bisect_left(keys, keys[b] >> low << low, a, b) - 1
+        heapq.heappush(heap, cell(a, split))
+        heapq.heappush(heap, cell(split + 1, b))
+    leaves = sorted(done + heap, key=lambda entry: entry[2])
+    lows, highs = layout.decode(
+        np.array([keys[entry[2]] for entry in leaves], dtype=np.uint64),
+        np.array([entry[1] for entry in leaves]),
     )
+    return lows, highs, np.array([-entry[0] for entry in leaves])
 
 
 # ----------------------------------------------------------------------

@@ -2,9 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import same_bits
 from repro.core.types import Dataset
+from repro.datagen.distributions import pareto_weights
+from repro.distributed import codec
 from repro.structures.hierarchy import BitHierarchy
+from repro.structures.order import OrderedDomain
 from repro.structures.product import ProductDomain
 from repro.structures.ranges import Box, MultiRangeQuery, interval
 from repro.summaries.exact import ExactSummary
@@ -102,6 +108,153 @@ class TestQDigest:
         box = Box((7, 3), (210, 180))
         lower, upper = qd.query_bounds(box)
         assert lower - 1e-9 <= qd.query(box) <= upper + 1e-9
+
+
+#: A ``uniform`` digest of 40 points on sides 1000 x 3 (s=6), encoded
+#: with the greedy build of the previous cell rule (halving at
+#: ``lo + (hi - lo) // 2``, the axis cycle restarting at every split).
+OLDER_FRAME = bytes.fromhex(
+    "5253554d020771646967657374640500000073070000007061727469616c730700"
+    "0000756e69666f726d730400000064696d7369020000000000000073080000006"
+    "26f785f6c6f777361033c69380206000000020000002d03000000000000020000"
+    "0000000000f40100000000000000000000000000000000000000000000000000"
+    "00000000006b030000000000000200000000000000ee02000000000000020000"
+    "0000000000f40100000000000002000000000000007309000000626f785f6869"
+    "67687361033c69380206000000020000006a0300000000000002000000000000"
+    "00e7030000000000000100000000000000f301000000000000020000000000000"
+    "0e70300000000000002000000000000002c030000000000000200000000000000"
+    "ed02000000000000020000000000000073070000007765696768747361033c66"
+    "38010600000040355eba49d46140c876be9f1aaf3740c520b07268f14d401b2f"
+    "dd2406413040448b6ce7fba91d40e9263108acdc2940"
+)
+
+
+def _frame(state):
+    """A wire frame carrying ``state`` as a q-digest."""
+    carrier = QDigestSummary(dataset_2d(), 1)
+    carrier.to_state = lambda: state
+    return codec.to_bytes(carrier)
+
+
+def _low_above_high(state):
+    lows = state["box_lows"].copy()
+    lows[4, 1] = state["box_highs"][4, 1] + 1
+    return dict(state, box_lows=lows)
+
+
+def _weight(value):
+    def tamper(state):
+        weights = state["weights"].copy()
+        weights[2] = value
+        return dict(state, weights=weights)
+    return tamper
+
+
+class TestQDigestState:
+    """States no digest can be in are refused, from a frame or not."""
+
+    @pytest.mark.parametrize("tamper", [
+        lambda state: dict(state, partial="bogus"),
+        lambda state: dict(state, dims=3),                 # boxes are 2-D
+        lambda state: dict(state, dims=0),
+        lambda state: dict(state, box_lows=state["box_lows"].ravel()),
+        lambda state: dict(state, box_highs=state["box_highs"][1:]),
+        lambda state: dict(state, weights=np.ones(13)),
+        lambda state: dict(state, box_lows=state["box_lows"] * 1.0),
+        _low_above_high,
+        _weight(-5.0),
+        _weight(float("nan")),
+        _weight(float("inf")),
+    ], ids=["partial", "dims", "no-dims", "flat-lows", "short-highs",
+            "long-weights", "float-lows", "low-above-high",
+            "negative-weight", "nan-weight", "inf-weight"])
+    def test_tampered_state_rejected(self, tamper):
+        state = tamper(dict(QDigestSummary(dataset_2d(seed=3), 12)
+                            .to_state()))
+        with pytest.raises(ValueError):
+            QDigestSummary.from_state(state)
+        with pytest.raises(ValueError):
+            codec.from_bytes(_frame(state))
+
+    def test_older_frame_round_trips(self):
+        digest = codec.from_bytes(OLDER_FRAME)
+        state = digest.to_state()
+        assert state["partial"] == "uniform" and state["dims"] == 2
+        assert state["box_lows"].tolist() == [
+            [813, 2], [500, 0], [0, 0], [875, 2], [750, 2], [500, 2]]
+        assert state["box_highs"].tolist() == [
+            [874, 2], [999, 1], [499, 2], [999, 2], [812, 2], [749, 2]]
+        assert digest.query(Box((0, 0), (499, 2))) == 59.886
+        assert digest.query(Box((100, 1), (900, 1))) == 25.466884
+        assert codec.to_bytes(digest) == OLDER_FRAME
+
+
+ODD_SIDES = (1, 3, 7, 64, 1000, (1 << 20) + 3)
+
+
+@st.composite
+def digest_batteries(draw):
+    """A 2-D or 3-D dataset, a node budget and a battery of boxes."""
+    dims = draw(st.integers(2, 3))
+    sides = draw(st.lists(st.sampled_from(ODD_SIDES), min_size=dims,
+                          max_size=dims))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    distinct = draw(st.integers(0, 30))
+    pool = np.column_stack(
+        [rng.integers(0, side, size=distinct) for side in sides]
+    ).reshape(distinct, dims)
+    n = draw(st.integers(1, 60)) if distinct else 0
+    coords = pool[rng.integers(0, max(distinct, 1), size=n)]
+    kind = draw(st.sampled_from(("unit", "zeros", "pareto")))
+    if kind == "unit":
+        weights = np.ones(n)
+    elif kind == "zeros":
+        weights = rng.integers(0, 3, size=n).astype(float)
+    else:
+        weights = pareto_weights(n, 1.2, rng=rng)
+    domain = ProductDomain([OrderedDomain(side) for side in sides])
+    data = Dataset(coords, weights, domain)
+    keys = np.unique(coords, axis=0).shape[0]
+    s = draw(st.sampled_from(
+        (1, 2, max(1, keys - 1), max(1, keys), keys + 1, 2 * keys + 5,
+         draw(st.integers(1, 40)))
+    ))
+    top = np.array(sides) - 1
+    boxes = [Box(tuple([0] * dims), tuple(top))]             # whole domain
+    for _ in range(draw(st.integers(1, 8))):
+        a = np.array([rng.integers(0, side) for side in sides])
+        b = np.array([rng.integers(0, side) for side in sides])
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        edge = rng.integers(0, 3)
+        if edge == 1:
+            lo[:] = 0                                       # lo = 0
+        elif edge == 2:
+            hi = top.copy()                                 # hi = size - 1
+        boxes.append(Box(tuple(lo), tuple(hi)))
+    for point in coords[:3]:                                # single keys
+        boxes.append(Box(tuple(point), tuple(point)))
+    return data, s, boxes
+
+
+class TestQDigestBatteries:
+    """``query_many`` answers like ``query``, bit for bit, in 2-D/3-D."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=digest_batteries(),
+           partial=st.sampled_from(("half", "uniform", "lower")))
+    def test_query_many_matches_query(self, case, partial):
+        data, s, boxes = case
+        digest = QDigestSummary(data, s, partial=partial)
+        keys = np.unique(data.coords, axis=0).shape[0]
+        assert digest.size == max(1, min(s, keys))
+        expect = [digest.query(box) for box in boxes]
+        assert same_bits(digest.query_many(boxes), expect)
+        restored = codec.from_bytes(codec.to_bytes(digest))
+        assert same_bits(restored.query_many(boxes), expect)
+        if partial != "lower":
+            assert digest.query(boxes[0]) == pytest.approx(
+                data.total_weight, abs=1e-9 * max(1.0, data.total_weight)
+            )
 
 
 class TestCountSketch:

@@ -264,22 +264,6 @@ class TestBufferedRebuild:
         # Full coefficient budget: the wavelet is lossless.
         assert snap.query(box) == pytest.approx(truth)
 
-    def test_stale_fraction_skips_rebuilds(self):
-        data = self.one_d_dataset(n=1000)
-        inc = BufferedRebuildSummary(
-            "wavelet", data.domain, 64, seed=0,
-            min_buffer=100, stale_fraction=0.5,
-        )
-        inc.update(data.coords[:500], data.weights[:500])
-        inc.snapshot()
-        builds = inc.rebuild_count
-        inc.update(data.coords[500:600], data.weights[500:600])
-        inc.snapshot()  # 100 new rows on 500 built: within 50% staleness
-        assert inc.rebuild_count == builds
-        inc.update(data.coords[600:], data.weights[600:])
-        inc.snapshot()  # tail now exceeds the tolerated staleness
-        assert inc.rebuild_count == builds + 1
-
     def test_empty_snapshot_answers_zero(self):
         data = self.one_d_dataset(n=10)
         inc = BufferedRebuildSummary("wavelet", data.domain, 32)

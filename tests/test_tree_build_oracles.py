@@ -1,13 +1,13 @@
 """The array-native tree builds against their one-node-at-a-time oracles.
 
 ``QDigestSummary``'s leaves (boxes, order and weight bits) must equal
-those of the greedy heap loop in ``tests/oracles.py`` on generated
-inputs: odd sides whose midpoints fall off bit boundaries, heap ties
-from unit and zero weights, duplicate points, every node budget from 1
-past the number of distinct points, the empty dataset, and panes of
-the size the windowed durable ingest rebuilds.  The kd build is pinned
-to the Algorithm 2 recursion at guide-sample size, where the
-per-segment cumsum's length buckets come into play.
+those of the greedy heap walk over the Morton trie in
+``tests/oracles.py`` on generated inputs: odd sides whose top cells are
+clipped, heap ties from unit and zero weights, duplicate points, node
+budgets from 1 to past twice the number of distinct points, the empty
+dataset, and panes of the size the windowed durable ingest rebuilds.
+The kd build is pinned to the Algorithm 2 recursion at guide-sample
+size, where the per-segment cumsum's length buckets come into play.
 """
 
 import numpy as np
