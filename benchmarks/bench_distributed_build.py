@@ -2,15 +2,16 @@
 
 Four acceptance measurements for the distributed subsystem:
 
-* **build scaling**: single-process ``build_sharded`` vs 2/4/8-worker
-  ``distributed_build`` over the multiprocessing and shared-memory
-  transports -- the distributed path must (a) produce *identical*
-  answers with the same seed and (b) beat the single-process wall
-  time on multi-core hosts.  Fleet startup is timed separately
-  (``fleet_start_s``): production coordinators are long-lived, so the
-  build timing is against a warm fleet.
+* **build scaling**: serial in-process ``build_sharded`` vs the same
+  call on 2/4/8-worker fleets (``coordinator=``) over the
+  multiprocessing and shared-memory transports -- the fleet path must
+  (a) produce *identical* answers with the same seed and (b) beat the
+  single-process wall time on multi-core hosts.  Fleet startup is
+  timed separately (``fleet_start_s``): production coordinators are
+  long-lived, so the build timing is against a warm fleet.
 * **wire bytes**: every mode records what actually crossed the wire
-  (``bytes_on_wire``/``frames_sent``/``shm_bytes``), and the
+  (``bytes_on_wire``/``frames_sent``/``shm_bytes``, from the build's
+  ``ShardedBuild.wire``), and the
   ``wire-codec`` records price the exact build-task frames raw vs
   compressed -- the regression gate asserts compressed never exceeds
   raw, and sorted int64 key frames must shrink >= 3x.
@@ -31,12 +32,7 @@ import numpy as np
 from conftest import SMOKE, emit, emit_json, perf_assert
 from repro.datagen.network import NetworkConfig, generate_network_flows
 from repro.datagen.queries import uniform_area_queries
-from repro.distributed import (
-    Coordinator,
-    QueryFrontend,
-    codec,
-    distributed_build,
-)
+from repro.distributed import Coordinator, QueryFrontend, codec
 from repro.engine.builder import build_sharded
 from repro.engine.shard import shard_dataset
 
@@ -100,21 +96,29 @@ def _task_frame_bytes(method, data, num_shards=4):
     return raw, wire
 
 
+def _bytes_on_wire(result):
+    return result.wire["bytes_sent"] + result.wire["bytes_received"]
+
+
 def _warm_build(method, data, transport, workers):
-    """One build against a pre-started fleet; returns timing + result."""
+    """One build against a pre-started fleet.
+
+    Returns the build, its wall time, the fleet's startup time and the
+    fleet's task retries.
+    """
     start = time.perf_counter()
     coord = Coordinator(transport, num_workers=workers)
     fleet_start_s = time.perf_counter() - start
     try:
         start = time.perf_counter()
-        result = distributed_build(
+        result = build_sharded(
             method, data, SAMPLE_SIZE, np.random.default_rng(5),
-            num_workers=workers, coordinator=coord,
+            coordinator=coord,
         )
         build_s = time.perf_counter() - start
     finally:
         coord.close()
-    return result, build_s, fleet_start_s
+    return result, build_s, fleet_start_s, coord.retries
 
 
 def _build_benchmark(data):
@@ -128,7 +132,7 @@ def _build_benchmark(data):
         start = time.perf_counter()
         local = build_sharded(
             method, data, SAMPLE_SIZE, np.random.default_rng(5),
-            num_shards=4, parallel=False,
+            num_shards=4,
         )
         local_secs = time.perf_counter() - start
         local_answers = local.summary.query_many(battery)
@@ -152,62 +156,65 @@ def _build_benchmark(data):
             "compression_ratio": raw_bytes / max(wire_bytes, 1),
         })
 
+        # Fleet start and stop stay inside the timing, as they always
+        # have for this row: an in-process fleet is four threads.
         start = time.perf_counter()
-        wired = distributed_build(
-            method, data, SAMPLE_SIZE, np.random.default_rng(5),
-            num_workers=4, transport="inprocess",
-        )
+        with Coordinator("inprocess", num_workers=4) as coord:
+            wired = build_sharded(
+                method, data, SAMPLE_SIZE, np.random.default_rng(5),
+                coordinator=coord,
+            )
         wired_secs = time.perf_counter() - start
         rows.append((method, "inprocess wire (codec overhead)", 4,
-                     wired_secs, None, wired.bytes_on_wire))
+                     wired_secs, None, _bytes_on_wire(wired)))
         records.append({
             "method": method, "mode": "inprocess-wire",
             "workers": 4, "size": SAMPLE_SIZE, "n": data.n,
             "wall_time_s": wired_secs,
             "throughput_per_s": data.n / max(wired_secs, 1e-12),
-            "bytes_on_wire": wired.bytes_on_wire,
-            "frames_sent": wired.frames_sent,
+            "bytes_on_wire": _bytes_on_wire(wired),
+            "frames_sent": wired.wire["frames_sent"],
         })
 
         best_dist = None
         for workers in WORKER_COUNTS:
-            dist, dist_secs, fleet_secs = _warm_build(
+            dist, dist_secs, fleet_secs, retries = _warm_build(
                 method, data, "multiprocessing", workers
             )
             best_dist = min(best_dist or dist_secs, dist_secs)
             rows.append((method, "multiprocessing (warm fleet)", workers,
-                         dist_secs, dist.retries, dist.bytes_on_wire))
+                         dist_secs, retries, _bytes_on_wire(dist)))
             records.append({
                 "method": method, "mode": "multiprocessing",
                 "workers": workers, "size": SAMPLE_SIZE, "n": data.n,
                 "wall_time_s": dist_secs,
                 "throughput_per_s": data.n / max(dist_secs, 1e-12),
                 "fleet_start_s": fleet_secs,
-                "bytes_on_wire": dist.bytes_on_wire,
-                "frames_sent": dist.frames_sent,
-                "retries": dist.retries,
+                "bytes_on_wire": _bytes_on_wire(dist),
+                "frames_sent": dist.wire["frames_sent"],
+                "retries": retries,
             })
             if workers == 4:
                 # Same seed => same shard seeds, builders and fold:
                 # the distributed summary must answer identically.
                 assert dist.summary.query_many(battery) == local_answers
 
-        shm, shm_secs, shm_fleet_secs = _warm_build(
+        shm, shm_secs, shm_fleet_secs, shm_retries = _warm_build(
             method, data, "shared-memory", SHM_WORKERS
         )
         best_dist = min(best_dist, shm_secs)
         rows.append((method, "shared-memory (warm fleet)", SHM_WORKERS,
-                     shm_secs, shm.retries, shm.bytes_on_wire))
+                     shm_secs, shm_retries, _bytes_on_wire(shm)))
         records.append({
             "method": method, "mode": "shared-memory",
             "workers": SHM_WORKERS, "size": SAMPLE_SIZE, "n": data.n,
             "wall_time_s": shm_secs,
             "throughput_per_s": data.n / max(shm_secs, 1e-12),
             "fleet_start_s": shm_fleet_secs,
-            "bytes_on_wire": shm.bytes_on_wire,
-            "frames_sent": shm.frames_sent,
-            "shm_bytes": shm.shm_bytes,
-            "retries": shm.retries,
+            "bytes_on_wire": _bytes_on_wire(shm),
+            "frames_sent": shm.wire["frames_sent"],
+            "shm_bytes": shm.wire["shm_bytes"],
+            "retries": shm_retries,
         })
         if SHM_WORKERS == 4:
             assert shm.summary.query_many(battery) == local_answers
@@ -235,10 +242,11 @@ def _build_benchmark(data):
 
 
 def _serving_benchmark(data):
-    dist = distributed_build(
-        "obliv", data, SAMPLE_SIZE, np.random.default_rng(5),
-        num_workers=4, transport="inprocess",
-    )
+    with Coordinator("inprocess", num_workers=4) as coord:
+        dist = build_sharded(
+            "obliv", data, SAMPLE_SIZE, np.random.default_rng(5),
+            coordinator=coord,
+        )
     frontend = QueryFrontend(_StaticSupplier(dist.summary))
     rng = np.random.default_rng(9)
     battery = uniform_area_queries(

@@ -2,9 +2,11 @@
 
 Two acceptance measurements for the engine subsystem:
 
-* build: a k-shard parallel build folded with VarOpt merges vs the
-  monolithic build, with relative-error parity on a query battery
-  (the merged sample must answer as accurately as the monolithic one).
+* build: a k-shard build (in process) folded in one VarOpt stage vs
+  the monolithic build, with relative-error parity on a query battery
+  (the folded sample must answer as accurately as the monolithic one).
+  ``bench_distributed_build.py`` times the same build on worker
+  fleets.
 * query: vectorized ``query_many`` vs the per-query Python loop on a
   1k-query battery against 10k sampled keys -- the target is >= 5x
   with (numerically) identical answers.
@@ -46,7 +48,6 @@ def _build_benchmark(network_data, s=2000, shards=4):
         "mono_secs": mono_secs,
         "shard_secs": shard_secs,
         "speedup": mono_secs / max(shard_secs, 1e-12),
-        "used_processes": sharded.used_processes,
         "mono_abs": mono_scores["abs_error"],
         "shard_abs": shard_scores["abs_error"],
     }
@@ -82,12 +83,11 @@ def test_engine_shard_merge(network_data, results_dir):
     build = _build_benchmark(network_data)
     query = _query_benchmark(network_data)
     lines = [
-        "Engine: sharded build+merge vs monolithic (obliv, s=2000, 4 shards)",
+        "Engine: sharded build+fold vs monolithic (obliv, s=2000, 4 shards)",
         f"  monolithic build : {build['mono_secs'] * 1e3:9.1f} ms "
         f"(abs err {build['mono_abs']:.5f})",
         f"  sharded build    : {build['shard_secs'] * 1e3:9.1f} ms "
-        f"(abs err {build['shard_abs']:.5f}, "
-        f"processes={build['used_processes']})",
+        f"(abs err {build['shard_abs']:.5f}, in process)",
         f"  build speedup    : {build['speedup']:9.2f}x",
         "",
         "Engine: vectorized query_many vs per-query loop "

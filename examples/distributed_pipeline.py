@@ -4,9 +4,9 @@ Demonstrates the distributed subsystem's four layers working
 together:
 
 1. **codec** -- a summary round-trips a wire frame bit-exactly;
-2. **workers + coordinator** -- a 4-worker distributed build over the
-   multiprocessing transport matches the single-process engine
-   answer-for-answer with the same seed;
+2. **workers + coordinator** -- ``build_sharded`` on a 4-worker fleet
+   over the multiprocessing transport matches the serial in-process
+   build answer-for-answer with the same seed;
 3. **streaming** -- a worker fleet ingests a live micro-batch feed
    and the coordinator folds worker snapshots into a queryable state;
 4. **frontend** -- a query battery served twice: cold (collect + fold
@@ -30,11 +30,11 @@ import numpy as np
 
 from repro import (
     Box,
+    Coordinator,
     DistributedIngest,
     QueryFrontend,
     StreamEngine,
     build_sharded,
-    distributed_build,
     tumbling,
 )
 from repro.distributed import ServingFrontend
@@ -46,7 +46,7 @@ from repro.datagen import (
 )
 from repro.datagen.queries import uniform_area_queries
 from repro.distributed import codec
-from repro.engine.builder import fold_merge
+from repro.engine.builder import fold_snapshots
 
 
 def codec_demo(data):
@@ -63,19 +63,20 @@ def codec_demo(data):
 
 
 def build_demo(data):
-    print("=== 2. Distributed build: 4 workers, multiprocessing ===")
+    print("=== 2. Fleet build: 4 workers, multiprocessing ===")
     start = time.perf_counter()
     local = build_sharded(
-        "obliv", data, 1_000, np.random.default_rng(7),
-        num_shards=4, parallel=False,
+        "obliv", data, 1_000, np.random.default_rng(7), num_shards=4,
     )
     local_secs = time.perf_counter() - start
-    start = time.perf_counter()
-    dist = distributed_build(
-        "obliv", data, 1_000, np.random.default_rng(7),
-        num_workers=4, transport="multiprocessing",
-    )
-    dist_secs = time.perf_counter() - start
+    with Coordinator("multiprocessing", num_workers=4) as fleet:
+        start = time.perf_counter()
+        dist = build_sharded(
+            "obliv", data, 1_000, np.random.default_rng(7),
+            coordinator=fleet,
+        )
+        dist_secs = time.perf_counter() - start
+        retries = fleet.retries
     queries = uniform_area_queries(
         data.domain, 100, 3, max_fraction=0.1,
         rng=np.random.default_rng(1),
@@ -84,7 +85,7 @@ def build_demo(data):
                  == local.summary.query_many(queries))
     print(f"local serial    : {local_secs * 1e3:7.1f} ms")
     print(f"4 workers (mp)  : {dist_secs * 1e3:7.1f} ms "
-          f"(retries={dist.retries})")
+          f"(retries={retries})")
     print(f"same seed => identical answers on a 100-query battery: "
           f"{identical}\n")
 
@@ -177,9 +178,8 @@ def pane_handoff_demo(config):
     )
     if shipped:
         decoded = [codec.from_bytes(frame) for frame in shipped]
-        folded = fold_merge(
-            [s for s in decoded if s.size], s=500,
-            rng=np.random.default_rng(0),
+        folded = fold_snapshots(
+            decoded, size=500, rng=np.random.default_rng(0)
         )
         print(f"{len(shipped)} sealed panes shipped "
               f"({sum(map(len, shipped)):,} bytes total), "

@@ -1,10 +1,11 @@
 """Sharded build + merge, and vectorized batch querying.
 
 Demonstrates the engine subsystem: the dataset is split into shards,
-each shard is summarized independently (in worker processes when the
-platform allows), and the per-shard VarOpt samples are folded into one
-unbiased sample with the mergeable-summary protocol.  Query batteries
-are then answered in a single broadcasted NumPy pass.
+each shard is summarized independently (serially here; pass a
+``Coordinator`` as ``coordinator=`` to build on a worker fleet), and
+the per-shard VarOpt samples are folded into one unbiased sample in
+one VarOpt stage.  Query batteries are then answered in a single
+broadcasted NumPy pass.
 
 Run:  python examples/sharded_engine.py
 """
@@ -40,8 +41,7 @@ def main():
     print(
         f"\nmonolithic build: {mono_secs * 1e3:7.1f} ms -> {mono}"
         f"\nsharded build   : {shard_secs * 1e3:7.1f} ms -> {merged}"
-        f"  ({result.num_shards} shards, "
-        f"processes={result.used_processes})"
+        f"  ({result.num_shards} shards of {result.shard_sizes} keys)"
     )
     print(
         f"estimate_total  : exact {data.total_weight:,.1f}, "

@@ -68,13 +68,7 @@ from repro.stream import (
     sliding,
     tumbling,
 )
-from repro.distributed import (
-    Coordinator,
-    DistributedBuild,
-    DistributedIngest,
-    QueryFrontend,
-    distributed_build,
-)
+from repro.distributed import Coordinator, DistributedIngest, QueryFrontend
 
 __version__ = "1.3.0"
 
@@ -122,9 +116,7 @@ __all__ = [
     "sliding",
     "tumbling",
     "Coordinator",
-    "DistributedBuild",
     "DistributedIngest",
     "QueryFrontend",
-    "distributed_build",
     "__version__",
 ]

@@ -125,79 +125,12 @@ class SampleSummary:
     ) -> "SampleSummary":
         """Merge with an IPPS/VarOpt sample of a *disjoint* shard.
 
-        The merge re-runs pair aggregation over the union of the two
-        samples, treating each sampled key's Horvitz-Thompson adjusted
-        weight as its weight, with the threshold capped below by both
-        input thresholds.  The result is again a valid
-        :class:`SampleSummary` of (at most) ``s`` keys.
-
-        Correctness (paper Appendix A)
-        ------------------------------
-        Shard ``k`` includes key ``i`` with IPPS probability
-        ``q_i = min(1, w_i / tau_k)`` and records the adjusted weight
-        ``a_i = w_i / q_i = max(w_i, tau_k)``, so
-        ``E[sum_{i in S_k} a_i] = sum_i w_i`` (eq. 1).  The merge draws
-        a second-stage IPPS/VarOpt sample *of the adjusted weights*: key
-        ``i`` survives with probability ``p_i = min(1, a_i / tau*)``
-        where ``tau* = max(tau_1, tau_2, tau_s(a))`` and ``tau_s(a)``
-        solves ``sum_i min(1, a_i / tau) = s``.  Its final adjusted
-        weight is ``a_i / p_i = max(a_i, tau*)`` -- exactly what a
-        :class:`SampleSummary` with ``weights = a`` and ``tau = tau*``
-        reports.  By the tower rule the two Horvitz-Thompson stages
-        compose::
-
-            E[max(a_i, tau*) * 1{i in merged}]
-              = E[a_i * 1{i in S_k}] = w_i,
-
-        so every subset-sum estimate from the merged sample stays
-        unbiased.  Taking ``tau*`` at least as large as both input
-        thresholds keeps the threshold semantics intact: every
-        surviving light key's adjusted weight equals the single merged
-        threshold.  Pair aggregation (Algorithm 1) realizes the
-        inclusion vector with VarOpt's negative correlations, so the
-        variance bounds of Appendix A continue to hold with respect to
-        the adjusted weights.
-
-        Parameters
-        ----------
-        other:
-            Sample of a disjoint shard (same key dimensionality).
-        s:
-            Target size of the merged sample; defaults to
-            ``max(self.size, other.size)`` so folding k equal-size
-            shard samples keeps the footprint constant.
-        rng:
-            Randomness for the pair aggregations; a fresh default
-            generator is used when omitted.
+        The two-input :meth:`from_shards` (whose docstring carries the
+        correctness argument): ``s`` defaults to ``max(self.size,
+        other.size)``, so folding equal-size shard samples keeps the
+        footprint constant, and an empty side is the identity.
         """
-        if not isinstance(other, SampleSummary):
-            raise TypeError(
-                f"cannot merge SampleSummary with {type(other).__name__}"
-            )
-        if self.size and other.size and self.dims != other.dims:
-            raise ValueError(
-                f"dimensionality mismatch: {self.dims} vs {other.dims}"
-            )
-        # Merging with a summary of an empty shard is the identity --
-        # unless an explicit smaller target forces a re-aggregation of
-        # the non-empty side (the 'at most s keys' contract).
-        if other.size == 0 or self.size == 0:
-            base = self if other.size == 0 else other
-            if s is None or base.size <= s:
-                return SampleSummary(
-                    coords=base.coords.copy(),
-                    weights=base.weights.copy(),
-                    tau=base.tau,
-                )
-            return base.downsample(s, rng)
-        if s is None:
-            s = max(self.size, other.size)
-        coords = np.concatenate((self.coords, other.coords), axis=0)
-        adjusted = np.concatenate(
-            (self.adjusted_weights, other.adjusted_weights)
-        )
-        tau_floor = max(self.tau, other.tau)
-        return _reaggregate(coords, adjusted, tau_floor, s, rng)
+        return SampleSummary.from_shards([self, other], s=s, rng=rng)
 
     def downsample(
         self,
@@ -206,20 +139,11 @@ class SampleSummary:
     ) -> "SampleSummary":
         """Re-aggregate this sample down to at most ``s`` keys.
 
-        A second IPPS/VarOpt stage over the adjusted weights (the same
-        construction as :meth:`merge` with an empty other side), so all
-        Horvitz-Thompson estimates stay unbiased.  A no-op (copy) when
-        the sample already fits the target.
+        The one-input :meth:`from_shards`: a second IPPS/VarOpt stage
+        over the adjusted weights, so all Horvitz-Thompson estimates
+        stay unbiased.  A no-op (copy) when the sample already fits.
         """
-        if self.size <= s:
-            return SampleSummary(
-                coords=self.coords.copy(),
-                weights=self.weights.copy(),
-                tau=self.tau,
-            )
-        return _reaggregate(
-            self.coords, self.adjusted_weights, self.tau, s, rng
-        )
+        return SampleSummary.from_shards([self], s=s, rng=rng)
 
     @classmethod
     def from_shards(
@@ -228,22 +152,69 @@ class SampleSummary:
         s: Optional[int] = None,
         rng: Optional[np.random.Generator] = None,
     ) -> "SampleSummary":
-        """Fold per-shard samples into one sample of (at most) ``s`` keys.
+        """Fold samples of disjoint shards into one of at most ``s`` keys.
 
-        Each fold is a :meth:`merge`, so unbiasedness composes across
-        any number of shards and any fold order.  A single oversized
-        shard is :meth:`downsample`-d so the size contract holds for
-        every input count.
+        One VarOpt stage over the union of the non-empty inputs, treating
+        each sampled key's Horvitz-Thompson adjusted weight as its
+        weight, with the threshold floored at the largest of their
+        thresholds.  ``s`` defaults to the largest input size.  Empty
+        inputs are the identity, and a lone input that already fits is
+        copied unchanged.
+
+        Correctness (paper Appendix A)
+        ------------------------------
+        Shard ``k`` includes key ``i`` with IPPS probability
+        ``q_i = min(1, w_i / tau_k)`` and records the adjusted weight
+        ``a_i = w_i / q_i = max(w_i, tau_k)``, so
+        ``E[sum_{i in S_k} a_i] = sum_i w_i`` (eq. 1).  The fold draws
+        a second-stage IPPS/VarOpt sample *of the adjusted weights*: key
+        ``i`` survives with probability ``p_i = min(1, a_i / tau*)``
+        where ``tau* = max(tau_1, ..., tau_k, tau_s(a))`` and
+        ``tau_s(a)`` solves ``sum_i min(1, a_i / tau) = s``.  Its final
+        adjusted weight is ``a_i / p_i = max(a_i, tau*)`` -- exactly what
+        a :class:`SampleSummary` with ``weights = a`` and ``tau = tau*``
+        reports.  By the tower rule the two Horvitz-Thompson stages
+        compose::
+
+            E[max(a_i, tau*) * 1{i in folded}]
+              = E[a_i * 1{i in S_k}] = w_i,
+
+        so every subset-sum estimate from the folded sample stays
+        unbiased, for any number of inputs.  Taking ``tau*`` at least as
+        large as every input threshold keeps the threshold semantics
+        intact: every surviving light key's adjusted weight equals the
+        single folded threshold.  Pair aggregation (Algorithm 1)
+        realizes the inclusion vector with VarOpt's negative
+        correlations, so the variance bounds of Appendix A continue to
+        hold with respect to the adjusted weights.
         """
         shards = list(shards)
         if not shards:
             raise ValueError("from_shards requires at least one summary")
-        merged = shards[0]
-        for shard in shards[1:]:
-            merged = merged.merge(shard, s=s, rng=rng)
-        if s is not None and merged.size > s:
-            merged = merged.downsample(s, rng)
-        return merged
+        for shard in shards:
+            if not isinstance(shard, SampleSummary):
+                raise TypeError(
+                    f"cannot merge SampleSummary with {type(shard).__name__}"
+                )
+        non_empty = [shard for shard in shards if shard.size]
+        dims = sorted({shard.dims for shard in non_empty})
+        if len(dims) > 1:
+            raise ValueError(f"dimensionality mismatch: {dims}")
+        if s is None:
+            s = max(shard.size for shard in shards)
+        if not non_empty or (len(non_empty) == 1 and non_empty[0].size <= s):
+            base = non_empty[0] if non_empty else shards[0]
+            return SampleSummary(
+                coords=base.coords.copy(),
+                weights=base.weights.copy(),
+                tau=base.tau,
+            )
+        coords = np.concatenate([shard.coords for shard in non_empty])
+        adjusted = np.concatenate(
+            [shard.adjusted_weights for shard in non_empty]
+        )
+        tau_floor = max(shard.tau for shard in non_empty)
+        return _reaggregate(coords, adjusted, tau_floor, s, rng)
 
     @property
     def mergeable(self) -> bool:
@@ -411,9 +382,9 @@ def reaggregate_indices(
     Includes entry ``i`` with probability ``min(1, adjusted_i / tau*)``
     where ``tau* = max(tau_floor, tau_s(adjusted))``, realized by pair
     aggregations over the fractional entries in random order.  The
-    shared core of :meth:`SampleSummary.merge`,
-    :meth:`SampleSummary.downsample` and the VarOpt reservoir's batch
-    update (:meth:`repro.core.varopt.StreamVarOpt.update`).  With
+    shared core of :meth:`SampleSummary.from_shards` (every fold,
+    merge and downsample) and the VarOpt reservoir's batch update
+    (:meth:`repro.core.varopt.StreamVarOpt.update`).  With
     ``tau* == 0`` every entry is included and no randomness is drawn.
     """
     if s < 1:

@@ -11,10 +11,10 @@ Four layers turn the in-process engine into a multi-worker system:
   (streaming) and ships serialized summaries upstream.
 * :mod:`repro.distributed.coordinator` -- schedules workers over
   pluggable transports (in-process, multiprocessing pipes, shared
-  memory), retries/reassigns failed tasks, and folds
-  what comes back with the mergeable-summary protocol:
-  :func:`distributed_build` for batch, :class:`DistributedIngest` for
-  streams.
+  memory), retries/reassigns failed tasks, and folds what comes back
+  with the engine's one fold: shard builds through
+  ``build_sharded(..., coordinator=...)`` for batch,
+  :class:`DistributedIngest` for streams.
 * :mod:`repro.distributed.frontend` -- :class:`QueryFrontend`: serves
   range-query batteries against the latest folded state with an LRU
   snapshot cache and per-snapshot sort-order reuse.
@@ -43,10 +43,8 @@ from repro.distributed.codec import (
 )
 from repro.distributed.coordinator import (
     Coordinator,
-    DistributedBuild,
     DistributedError,
     DistributedIngest,
-    distributed_build,
 )
 from repro.distributed.dispatch import (
     AsyncDispatcher,
@@ -74,7 +72,6 @@ __all__ = [
     "Backpressure",
     "CodecError",
     "Coordinator",
-    "DistributedBuild",
     "DistributedError",
     "DistributedIngest",
     "InProcessTransport",
@@ -92,7 +89,6 @@ __all__ = [
     "WIRE_VERSION",
     "WorkerRuntime",
     "decode_message",
-    "distributed_build",
     "encode_message",
     "from_bytes",
     "make_transport",

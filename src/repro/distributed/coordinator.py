@@ -1,19 +1,21 @@
 """Coordinator: schedule shard builds / pane ingest across N workers.
 
 The coordinator owns a transport, ships control messages to workers,
-and folds whatever summaries come back with the existing mergeable
-protocol (``merge`` / ``from_shards``) -- the same statistical
-machinery as the in-process engine, so a distributed build is
-indistinguishable from :func:`repro.engine.builder.build_sharded`
-given the same seed (tested bit-for-bit per method).
+and folds whatever summaries come back with the engine's one fold
+(:func:`repro.engine.builder.fold_snapshots`) -- the same statistical
+machinery as the in-process engine.
 
-Two entry points sit on top of the generic :class:`Coordinator`:
+Two uses sit on top of the generic :class:`Coordinator`:
 
-* :func:`distributed_build` -- batch: partition a dataset, build one
-  summary per shard on the workers, fold.  Failed or crashed worker
-  tasks are retried and reassigned to surviving workers.
-* :class:`DistributedIngest` -- streaming: each worker ingests the
-  micro-batch slices the coordinator routes to it (panes are
+* batch: :func:`repro.engine.builder.build_sharded` with
+  ``coordinator=`` builds one summary per shard on the workers
+  (:meth:`Coordinator.build_shards`) and folds them, bit-identical to
+  the serial build given the same seed (tested per method).  Failed or
+  crashed worker tasks are retried and reassigned to surviving
+  workers.
+* :class:`DistributedIngest` -- streaming: each worker runs one
+  :class:`~repro.stream.engine.StreamEngine` per slice of the
+  micro-batches the coordinator routes to it (slices are
   shard-equivalent), and ships serialized snapshots upstream on
   demand; the coordinator folds them into the latest queryable state.
 """
@@ -21,18 +23,15 @@ Two entry points sit on top of the generic :class:`Coordinator`:
 from __future__ import annotations
 
 import functools
-import os
 import random
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
 from repro import obs as _obs
-from repro.core.types import Dataset
 from repro.distributed import codec
 from repro.distributed.dispatch import (
     AsyncDispatcher,
@@ -44,13 +43,7 @@ from repro.distributed.transport import (
     TransportError,
     make_transport,
 )
-from repro.engine import registry
-from repro.engine.builder import (
-    _MAX_DEFAULT_WORKERS,
-    fold_merge,
-    fold_snapshots,
-)
-from repro.engine.shard import shard_dataset
+from repro.engine.builder import default_workers, fold_snapshots
 from repro.stream.incremental import derive_seed
 from repro.stream.types import MicroBatch
 from repro.structures.ranges import compile_query_plan
@@ -64,10 +57,6 @@ class DistributedError(RuntimeError):
 #: expects a reply, which is what shared-memory transports key segment
 #: reclamation on.
 _NO_REPLY_TYPES = frozenset({"ingest", "shutdown", "exit"})
-
-
-def _default_workers() -> int:
-    return max(1, min(os.cpu_count() or 1, _MAX_DEFAULT_WORKERS))
 
 
 class Coordinator:
@@ -93,8 +82,8 @@ class Coordinator:
         :class:`~repro.distributed.transport.BaseTransport` instance
         (not yet started).
     num_workers:
-        Fleet size; defaults to the available parallelism (capped
-        like the in-process engine).
+        Fleet size (at least 1); defaults to the available parallelism
+        (capped like the in-process engine).
     max_retries:
         How many times one task may be re-dispatched after a worker
         error or death before the operation fails.
@@ -132,7 +121,9 @@ class Coordinator:
         registry=None,
     ):
         self._transport = make_transport(transport)
-        self._num_workers = num_workers or _default_workers()
+        self._num_workers = (
+            default_workers() if num_workers is None else int(num_workers)
+        )
         self._max_retries = int(max_retries)
         self._retry_backoff = float(retry_backoff)
         self._retry_backoff_cap = float(retry_backoff_cap)
@@ -476,116 +467,44 @@ class Coordinator:
                     )
         return [reply for reply in results if reply is not None]
 
+    def build_shards(
+        self,
+        method: str,
+        shards: Sequence,
+        size: int,
+        seeds: Sequence[int],
+        *,
+        wire: Optional[Dict[str, int]] = None,
+    ) -> List:
+        """Build ``method`` on every shard on the fleet, in shard order.
 
-# ----------------------------------------------------------------------
-# Batch: distributed shard builds
-# ----------------------------------------------------------------------
-
-@dataclass
-class DistributedBuild:
-    """Outcome of a distributed build: folded summary plus provenance.
-
-    ``bytes_on_wire``/``frames_sent`` count this build's own frames
-    (both directions), summed from the per-request futures on the
-    async dispatch path -- exact even when other operations share the
-    transport concurrently; ``shm_bytes`` counts payloads that moved
-    out-of-band through shared memory instead.
-    """
-
-    summary: object
-    num_workers: int
-    num_tasks: int
-    transport: str
-    shard_sizes: List[int] = field(default_factory=list)
-    retries: int = 0
-    bytes_on_wire: int = 0
-    frames_sent: int = 0
-    shm_bytes: int = 0
-
-
-def distributed_build(
-    method: str,
-    dataset: Dataset,
-    s: int,
-    rng: Optional[np.random.Generator] = None,
-    *,
-    num_workers: Optional[int] = None,
-    transport: Union[str, BaseTransport] = "inprocess",
-    strategy: str = "contiguous",
-    max_retries: int = 2,
-    coordinator: Optional[Coordinator] = None,
-) -> DistributedBuild:
-    """Build one summary per shard on remote workers and fold.
-
-    Deterministic parity with the in-process engine: given the same
-    ``rng`` state, shard count and strategy, the folded summary is
-    *bit-identical* to ``build_sharded``'s -- per-shard seeds are
-    drawn the same way, workers run the same registry builders, the
-    codec round trip is bit-exact, and the fold consumes the same
-    generator.  Which transport carried the bytes cannot matter.
-
-    Pass an existing ``coordinator`` to amortize fleet startup across
-    builds; otherwise a fleet is started and torn down per call.
-    """
-    if rng is None:
-        rng = np.random.default_rng()
-    if num_workers is None:
-        num_workers = (
-            coordinator.num_workers if coordinator is not None
-            else _default_workers()
-        )
-    shards = shard_dataset(dataset, num_workers, strategy=strategy)
-    if not shards:
-        shards = [dataset]
-    if len(shards) > 1 and not registry.is_mergeable(method):
-        raise ValueError(
-            f"method {method!r} does not build mergeable summaries; "
-            "use num_workers=1 or a mergeable method"
-        )
-    seeds = [int(seed) for seed in rng.integers(0, 2**63, size=len(shards))]
-    domain_spec = codec.encode_domain(dataset.domain)
-    tasks = [
-        {
-            "type": "build",
-            "method": method,
-            "size": int(s),
-            "seed": seed,
-            "coords": shard.coords,
-            "weights": shard.weights,
-            "domain": domain_spec,
-        }
-        for shard, seed in zip(shards, seeds)
-    ]
-    own = coordinator is None
-    coord = coordinator or Coordinator(
-        transport, num_workers, max_retries=max_retries
-    )
-    wire: Dict[str, int] = {}
-    try:
-        replies = coord.run_tasks(tasks, wire=wire)
+        The fleet path of :func:`repro.engine.builder.build_sharded`:
+        one ``build`` task per shard with its seed, run with
+        :meth:`run_tasks`' retries and reassignment (``wire`` as
+        there).  Workers run the same registry builders as the serial
+        path and the codec round trip is bit-exact, so which transport
+        carried the bytes cannot matter.
+        """
+        domain_spec = codec.encode_domain(shards[0].domain)
+        tasks = [
+            {
+                "type": "build",
+                "method": method,
+                "size": int(size),
+                "seed": int(seed),
+                "coords": shard.coords,
+                "weights": shard.weights,
+                "domain": domain_spec,
+            }
+            for shard, seed in zip(shards, seeds)
+        ]
+        replies = self.run_tasks(tasks, wire=wire)
         # Reply frames are immutable bytes that live as long as any
         # view of them: decode the shipped summaries zero-copy.
-        summaries = [
+        return [
             codec.from_bytes(reply["summary"], copy=False)
             for reply in replies
         ]
-    finally:
-        if own:
-            coord.close()
-    merged = fold_merge(summaries, s=s, rng=rng)
-    return DistributedBuild(
-        summary=merged,
-        num_workers=coord.num_workers,
-        num_tasks=len(tasks),
-        transport=coord.transport.name,
-        shard_sizes=[int(reply["size"]) for reply in replies],
-        retries=coord.retries,
-        bytes_on_wire=(
-            wire.get("bytes_sent", 0) + wire.get("bytes_received", 0)
-        ),
-        frames_sent=wire.get("frames_sent", 0),
-        shm_bytes=wire.get("shm_bytes", 0),
-    )
 
 
 # ----------------------------------------------------------------------
@@ -595,21 +514,21 @@ def distributed_build(
 class _Slice:
     """One logical shard of the distributed stream.
 
-    A slice owns its seed (``derive_seed(seed, "worker", sid)``), one
-    or two host workers, and -- depending on the recovery mode -- a
-    bounded replay log of the batches routed to it plus the latest
-    checkpointed worker state.  Losing a host loses nothing the slice
-    cannot rebuild.
+    A slice owns its seed (``derive_seed(seed, "worker", sid)``), its
+    host worker, and -- under ``recovery="replay"`` -- a bounded replay
+    log of the batches routed to it plus the latest checkpointed
+    worker state.  Losing the host then loses nothing the slice cannot
+    rebuild.
     """
 
     __slots__ = (
-        "sid", "hosts", "batches", "items", "replay",
+        "sid", "host", "batches", "items", "replay",
         "ckpt_state", "ckpt_items", "ckpt_batches",
     )
 
-    def __init__(self, sid: int, hosts: List[int], replay_log: int):
+    def __init__(self, sid: int, host: int, replay_log: int):
         self.sid = sid
-        self.hosts = list(hosts)  # primary first
+        self.host = host
         self.batches = 0          # batches routed to this slice
         self.items = 0
         self.replay: deque = deque(maxlen=max(1, int(replay_log)))
@@ -632,16 +551,16 @@ def _serialized(method):
 class DistributedIngest:
     """Route a micro-batch stream across workers; fold snapshots on demand.
 
-    The stream is cut into per-worker *slices*: every slice holds one
-    incremental summary per method (or a full
-    :class:`~repro.stream.engine.StreamEngine` when a ``window`` spec
-    is given, so tumbling/sliding panes seal at the same event-time
-    boundaries they would in process), seeded independently via
-    :func:`~repro.stream.incremental.derive_seed` -- slices are
-    shard-equivalent and fold with ``merge`` exactly like panes do.
-    ``ingest`` messages are fire-and-forget for throughput;
-    :meth:`snapshot` is the barrier that collects and folds, in slice
-    order, so results are reproducible across transports and restarts.
+    The stream is cut into per-worker *slices*: every slice is one
+    :class:`~repro.stream.engine.StreamEngine` on its worker, seeded
+    ``derive_seed(seed, "worker", sid)`` -- landmark without a
+    ``window`` spec (timestamps are then not forwarded), windowed with
+    one, so tumbling/sliding panes seal at the same event-time
+    boundaries they would in process.  Slices are shard-equivalent and
+    fold exactly like panes do.  ``ingest`` messages are
+    fire-and-forget for throughput; :meth:`snapshot` is the barrier
+    that collects and folds, in slice order, so results are
+    reproducible across transports and restarts.
 
     Crash recovery (``recovery=``):
 
@@ -654,9 +573,6 @@ class DistributedIngest:
       ran (``checkpoint_interval`` automates it), else from the full
       log -- with exponential-backoff-plus-jitter retries.  The
       rebuilt slice is bit-identical to one that never moved.
-    * ``"replicate"`` -- slices run on two workers at once (halving
-      effective parallelism); losing the primary promotes the sibling,
-      no replay needed.  Losing both hosts loses the slice.
 
     With a :class:`~repro.durable.CheckpointStore` attached, every
     checkpoint is also persisted (per-slice stream keys under
@@ -690,10 +606,9 @@ class DistributedIngest:
         self._methods = list(methods)
         if not self._methods:
             raise ValueError("need at least one method")
-        if recovery not in ("none", "replay", "replicate"):
+        if recovery not in ("none", "replay"):
             raise ValueError(
-                f"unknown recovery mode {recovery!r}; "
-                "have 'none', 'replay', 'replicate'"
+                f"unknown recovery mode {recovery!r}; have 'none', 'replay'"
             )
         self._domain = domain
         self._size = int(size)
@@ -725,24 +640,16 @@ class DistributedIngest:
         self._snap_cache: Optional[tuple] = None  # (version, {m: snaps})
         self._fold_cache: Dict[str, tuple] = {}  # method -> (ver, folded)
         self._domain_spec = codec.encode_domain(domain)
-        workers = self._coordinator.alive_workers()
-        if recovery == "replicate":
-            self._slices = [
-                _Slice(sid, workers[2 * sid:2 * sid + 2], replay_log)
-                for sid in range((len(workers) + 1) // 2)
-            ]
-        else:
-            self._slices = [
-                _Slice(sid, [worker_id], replay_log)
-                for sid, worker_id in enumerate(workers)
-            ]
+        self._slices = [
+            _Slice(sid, worker_id, replay_log)
+            for sid, worker_id in enumerate(
+                self._coordinator.alive_workers()
+            )
+        ]
         asked = set()
         for sl in self._slices:
-            for worker_id in sl.hosts:
-                self._coordinator.send(
-                    worker_id, self._open_message(sl)
-                )
-                asked.add(worker_id)
+            self._coordinator.send(sl.host, self._open_message(sl))
+            asked.add(sl.host)
         # Shrinking target: a worker dying mid-open must not stall the
         # constructor until the deadline (same pattern as _collect).
         opened = self._coordinator.gather(
@@ -786,31 +693,21 @@ class DistributedIngest:
             "window": self._window_spec(),
         }
 
-    def _live_hosts(self, sl: _Slice) -> List[int]:
-        alive = set(self._coordinator.alive_workers())
-        return [h for h in sl.hosts if h in alive]
+    def _host_alive(self, sl: _Slice) -> bool:
+        return sl.host in self._coordinator.alive_workers()
 
     def _ensure_host(self, sl: _Slice) -> Optional[int]:
-        """A live host for the slice, recovering it if the mode allows.
+        """A live host for the slice, recovering it under ``"replay"``.
 
         Returns ``None`` when the slice is unrecoverably lost under
         ``recovery="none"`` (the caller drops it, the historical
-        behavior); raises :class:`DistributedError` when a recovering
-        mode runs out of options.
+        behavior); raises :class:`DistributedError` when recovery runs
+        out of options.
         """
-        hosts = self._live_hosts(sl)
-        if hosts:
-            if hosts != sl.hosts:
-                # A replica died (or the primary did, under
-                # "replicate"): promote the survivors in place.
-                sl.hosts = hosts
-            return hosts[0]
+        if self._host_alive(sl):
+            return sl.host
         if self._recovery == "none":
             return None
-        if self._recovery == "replicate":
-            raise DistributedError(
-                f"slice {sl.sid} lost both replicas"
-            )
         return self._recover_slice(sl)
 
     def _recover_slice(self, sl: _Slice) -> int:
@@ -859,7 +756,7 @@ class DistributedIngest:
                     )
                     if self._obs.enabled:
                         self._replayed_ctr.inc()
-                sl.hosts = [host]
+                sl.host = host
                 if self._obs.enabled:
                     self._recovered_ctr.inc()
                 return host
@@ -877,9 +774,8 @@ class DistributedIngest:
             return None
         load = {worker_id: 0 for worker_id in alive}
         for other in self._slices:
-            for host in other.hosts:
-                if host in load and other.sid != sl.sid:
-                    load[host] += 1
+            if other.host in load and other.sid != sl.sid:
+                load[other.host] += 1
         return min(alive, key=lambda worker_id: (load[worker_id],
                                                  worker_id))
 
@@ -890,10 +786,13 @@ class DistributedIngest:
             "coords": batch.coords,
             "weights": batch.weights,
         }
-        if batch.timestamp is not None:
-            message["timestamp"] = batch.timestamp
-        if batch.timestamps is not None:
-            message["timestamps"] = batch.timestamps
+        # Landmark slices keep one pane whatever the clock says, so
+        # only windowed slices get the timestamps.
+        if self._window is not None:
+            if batch.timestamp is not None:
+                message["timestamp"] = batch.timestamp
+            if batch.timestamps is not None:
+                message["timestamps"] = batch.timestamps
         return message
 
     # ------------------------------------------------------------------
@@ -912,7 +811,7 @@ class DistributedIngest:
         self._domain.validate_coords(batch.coords)
         slices = [
             sl for sl in self._slices
-            if self._recovery != "none" or self._live_hosts(sl)
+            if self._recovery != "none" or self._host_alive(sl)
         ]
         if not slices:
             raise DistributedError("no live workers to ingest into")
@@ -921,15 +820,13 @@ class DistributedIngest:
         host = self._ensure_host(sl)
         if host is None:  # pragma: no cover - raced death under "none"
             raise DistributedError("no live workers to ingest into")
-        message = self._ingest_message(sl, batch)
-        targets = sl.hosts if self._recovery == "replicate" else [host]
-        for target in targets:
-            try:
-                self._coordinator.send(target, message)
-            except TransportError:
-                if target == host and self._recovery == "none":
-                    raise
-                # A replica died mid-send: the survivor carries on.
+        try:
+            self._coordinator.send(host, self._ingest_message(sl, batch))
+        except TransportError:
+            if self._recovery == "none":
+                raise
+            # The host died mid-send: the replay log below keeps the
+            # batch for the slice's recovery.
         sl.batches += 1
         sl.items += batch.n
         if self._recovery == "replay":
@@ -1052,10 +949,10 @@ class DistributedIngest:
                 break
             # Workers that die mid-collect shrink the reply target
             # every poll round instead of stalling until the deadline.
-            hosts = {sl.hosts[0]: rid for rid, sl in requests.items()}
+            hosts = {sl.host for sl in requests.values()}
             replies = self._coordinator.gather(
                 lambda: len(
-                    set(hosts) & set(self._coordinator.alive_workers())
+                    hosts & set(self._coordinator.alive_workers())
                 ),
                 match=lambda m: (m.get("type") == "snapshots"
                                  and m.get("request_id") in requests),

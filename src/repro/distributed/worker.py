@@ -13,19 +13,17 @@ Message protocol (all fields codec primitives):
   ``result`` with the built summary as a codec frame.  Failures reply
   ``result`` with ``ok=False`` and the error text -- the coordinator
   decides whether to retry elsewhere.
-* ``open_stream`` / ``ingest`` / ``snapshot``: the streaming path.  A
-  landmark stream holds one incremental summary per method (exactly
-  the stream engine's pane machinery); a stream opened with a
-  ``window`` spec holds a full :class:`~repro.stream.engine.
-  StreamEngine`, so tumbling/sliding panes seal at the same event-time
-  boundaries they would in process.  ``ingest`` absorbs a micro-batch
-  slice (fire-and-forget, no reply, timestamps ride along),
-  ``snapshot`` freezes and ships every method's summary frame
-  upstream.
-* ``checkpoint`` -> ``checkpoint_state``: ship the stream's *live*
-  state (serialized via :mod:`repro.durable`) so the coordinator can
-  persist it; ``restore_stream`` rebuilds a stream from that state on
-  a fresh worker -- the crash-recovery pair.
+* ``open_stream`` / ``ingest`` / ``snapshot``: the streaming path.
+  Every stream is one :class:`~repro.stream.engine.StreamEngine`:
+  landmark without a ``window`` spec, windowed with one, so
+  tumbling/sliding panes seal at the same event-time boundaries they
+  would in process.  ``ingest`` absorbs a micro-batch slice
+  (fire-and-forget, no reply, timestamps ride along), ``snapshot``
+  freezes and ships every method's summary frame upstream.
+* ``checkpoint`` -> ``checkpoint_state``: ship the engine's *live*
+  checkpoint payload so the coordinator can persist it;
+  ``restore_stream`` rebuilds a stream from that state on a fresh
+  worker -- the crash-recovery pair.
 * ``ping`` -> ``pong``: health probe.
 * ``shutdown``: clean exit.  ``exit``: abrupt exit without a reply
   (the crash-injection hook used by the retry tests).
@@ -41,7 +39,8 @@ import numpy as np
 from repro.core.types import Dataset
 from repro.distributed import codec
 from repro.engine import registry
-from repro.stream.incremental import derive_seed, incremental_summary
+from repro.stream.engine import StreamEngine, Window
+from repro.stream.types import MicroBatch
 
 
 def _writable(value):
@@ -54,8 +53,7 @@ class WorkerRuntime:
     """Per-worker state machine: handles one decoded message at a time."""
 
     def __init__(self):
-        #: stream id -> {"incs": {method: IncrementalSummary},
-        #:               "domain": ProductDomain, "items": int}
+        #: stream id -> {"engine": StreamEngine, "error": Optional[str]}
         self._streams: Dict[str, dict] = {}
 
     # ------------------------------------------------------------------
@@ -141,52 +139,19 @@ class WorkerRuntime:
     # Streaming ingest
     # ------------------------------------------------------------------
     def _open_state(self, message: dict) -> dict:
-        """Build a stream's state dict from an open/restore message.
-
-        A ``window`` spec upgrades the stream from the flat landmark
-        incs to a full :class:`~repro.stream.engine.StreamEngine`, so
-        pane boundaries on the worker match the in-process engine's.
-        """
-        domain = codec.decode_domain(message["domain"])
-        seed = int(message["seed"])
-        window_spec = message.get("window")
-        if window_spec is not None:
-            from repro.stream.engine import StreamEngine, Window
-
-            engine = StreamEngine(
-                domain,
-                list(message["methods"]),
-                int(message["size"]),
-                window=Window(
-                    window_spec["kind"],
-                    float(window_spec["width"]),
-                    float(window_spec["pane"]),
-                ),
-                seed=seed,
-            )
-            return {
-                "engine": engine,
-                "incs": None,
-                "domain": domain,
-                "items": 0,
-                "error": None,
-            }
-        incs = {
-            name: incremental_summary(
-                name,
-                domain,
-                int(message["size"]),
-                seed=derive_seed(seed, name),
-            )
-            for name in message["methods"]
-        }
-        return {
-            "engine": None,
-            "incs": incs,
-            "domain": domain,
-            "items": 0,
-            "error": None,
-        }
+        """A fresh stream state (its engine) from an open/restore message."""
+        spec = message.get("window")
+        window = None if spec is None else Window(
+            spec["kind"], float(spec["width"]), float(spec["pane"])
+        )
+        engine = StreamEngine(
+            codec.decode_domain(message["domain"]),
+            list(message["methods"]),
+            int(message["size"]),
+            window=window,
+            seed=int(message["seed"]),
+        )
+        return {"engine": engine, "error": None}
 
     def _handle_open_stream(self, message: dict) -> dict:
         try:
@@ -212,25 +177,14 @@ class WorkerRuntime:
             # Ingested batches outlive this frame (incremental
             # summaries may retain slices), so detach them from the
             # zero-copy decode before updating.
-            coords = _writable(message["coords"])
-            weights = _writable(message["weights"])
-            engine = stream["engine"]
-            if engine is not None:
-                from repro.stream.types import MicroBatch
-
-                timestamp = message.get("timestamp")
-                stamps = message.get("timestamps")
-                engine.process(MicroBatch(
-                    coords,
-                    weights,
-                    None if timestamp is None else float(timestamp),
-                    None if stamps is None else _writable(stamps),
-                ))
-                stream["items"] = engine.items_seen
-            else:
-                for inc in stream["incs"].values():
-                    inc.update(coords, weights)
-                stream["items"] += int(np.asarray(weights).shape[0])
+            timestamp = message.get("timestamp")
+            stamps = message.get("timestamps")
+            stream["engine"].process(MicroBatch(
+                _writable(message["coords"]),
+                _writable(message["weights"]),
+                None if timestamp is None else float(timestamp),
+                None if stamps is None else _writable(stamps),
+            ))
         except Exception:
             stream["error"] = traceback.format_exc(limit=8)
         return None
@@ -257,23 +211,17 @@ class WorkerRuntime:
             }
         try:
             engine = stream["engine"]
-            if engine is not None:
-                summaries = {
-                    name: codec.to_bytes(engine.snapshot(name))
-                    for name in engine.methods
-                }
-            else:
-                summaries = {
-                    name: codec.to_bytes(inc.snapshot())
-                    for name, inc in stream["incs"].items()
-                }
+            summaries = {
+                name: codec.to_bytes(engine.snapshot(name))
+                for name in engine.methods
+            }
             return {
                 "type": "snapshots",
                 "stream": stream_id,
                 "request_id": request_id,
                 "ok": True,
                 "summaries": summaries,
-                "items": stream["items"],
+                "items": engine.items_seen,
             }
         except Exception:
             return {
@@ -304,29 +252,17 @@ class WorkerRuntime:
                 "error": error,
             }
         try:
-            from repro.durable import encode_incremental
-
             engine = stream["engine"]
-            if engine is not None:
-                state = {
-                    "kind": "engine",
-                    "payload": engine._checkpoint_payload(),
-                }
-            else:
-                state = {
-                    "kind": "landmark",
-                    "incs": {
-                        name: encode_incremental(inc)
-                        for name, inc in stream["incs"].items()
-                    },
-                }
             return {
                 "type": "checkpoint_state",
                 "stream": stream_id,
                 "request_id": request_id,
                 "ok": True,
-                "state": state,
-                "items": stream["items"],
+                "state": {
+                    "kind": "engine",
+                    "payload": engine._checkpoint_payload(),
+                },
+                "items": engine.items_seen,
             }
         except Exception:
             return {
@@ -342,26 +278,9 @@ class WorkerRuntime:
         try:
             stream_id = message["stream"]
             entry = self._open_state(message)
-            state = message["state"]
-            if state["kind"] == "engine":
-                entry["engine"]._restore_from_payload(state["payload"])
-                entry["items"] = entry["engine"].items_seen
-            else:
-                from repro.durable import decode_incremental
-
-                domain = entry["domain"]
-                seed = int(message["seed"])
-                entry["incs"] = {
-                    name: decode_incremental(
-                        spec,
-                        name=name,
-                        domain=domain,
-                        size=int(message["size"]),
-                        seed=derive_seed(seed, name),
-                    )
-                    for name, spec in state["incs"].items()
-                }
-                entry["items"] = int(message.get("items", 0))
+            entry["engine"]._restore_from_payload(
+                message["state"]["payload"]
+            )
             self._streams[stream_id] = entry
             return {"type": "restored", "stream": stream_id, "ok": True}
         except Exception:

@@ -5,12 +5,17 @@ The engine turns the repo's summaries into scalable infrastructure:
 * :mod:`repro.engine.registry` -- declarative name -> builder registry
   shared by the harness, examples and benchmarks.
 * :mod:`repro.engine.shard` -- partition a dataset into build shards.
-* :mod:`repro.engine.builder` -- build per-shard summaries in parallel
-  and fold them with the mergeable-summary protocol.
+* :mod:`repro.engine.builder` -- build per-shard summaries (in
+  process or on a worker fleet) and fold them with the one fold,
+  :func:`fold_snapshots`.
 """
 
 from repro.engine import registry
-from repro.engine.builder import ShardedBuild, build_sharded, fold_merge
+from repro.engine.builder import (
+    ShardedBuild,
+    build_sharded,
+    fold_snapshots,
+)
 from repro.engine.registry import available, build, get, register
 from repro.engine.shard import shard_dataset, shard_indices
 
@@ -19,7 +24,7 @@ __all__ = [
     "available",
     "build",
     "build_sharded",
-    "fold_merge",
+    "fold_snapshots",
     "get",
     "register",
     "registry",

@@ -1,24 +1,22 @@
 """Shard-parallel summary construction folded with mergeable summaries.
 
 ``build_sharded`` is the engine's entry point: partition a dataset
-(:mod:`repro.engine.shard`), build one summary per shard -- in a
-process pool when possible, serially otherwise -- and fold the shard
-summaries into one with the mergeable-summary protocol
-(``merge`` / ``from_shards``).  Because every merge preserves
-Horvitz-Thompson unbiasedness (see
-:meth:`repro.core.estimator.SampleSummary.merge`), the folded summary
-is statistically equivalent to a monolithic build while the build
-itself scales with the number of cores.
+(:mod:`repro.engine.shard`), build one summary per shard -- serially
+in process, or on the worker fleet of a
+:class:`~repro.distributed.coordinator.Coordinator` passed in -- and
+fold the shard summaries into one with :func:`fold_snapshots`.  Both
+paths draw the same per-shard seeds, run the same registry builders
+and fold with the same generator, so their outputs are bit-identical.
+Because every fold preserves Horvitz-Thompson unbiasedness (see
+:meth:`repro.core.estimator.SampleSummary.from_shards`), the folded
+summary is statistically equivalent to a monolithic build.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -27,36 +25,13 @@ from repro.core.types import Dataset
 from repro.engine import registry
 from repro.engine.shard import shard_dataset
 
-#: Upper bound on worker processes (leave headroom for the parent).
+#: Upper bound on default shard and fleet sizes.
 _MAX_DEFAULT_WORKERS = 8
 
 
-def _build_shard_task(args):
-    """Top-level (picklable) per-shard build used by the process pool."""
-    name, shard, size, seed = args
-    rng = np.random.default_rng(seed)
-    return registry.build(name, shard, size, rng)
-
-
-def fold_merge(
-    summaries: Sequence,
-    s: Optional[int] = None,
-    rng: Optional[np.random.Generator] = None,
-):
-    """Fold shard summaries into one via the mergeable protocol.
-
-    Samples get the size-targeted fold (each merge re-aggregates down
-    to ``s`` keys); other summary types fold with plain ``merge``.
-    """
-    summaries = list(summaries)
-    if not summaries:
-        raise ValueError("nothing to merge")
-    if all(isinstance(summary, SampleSummary) for summary in summaries):
-        return SampleSummary.from_shards(summaries, s=s, rng=rng)
-    merged = summaries[0]
-    for summary in summaries[1:]:
-        merged = merged.merge(summary)
-    return merged
+def default_workers() -> int:
+    """The available parallelism, capped at ``_MAX_DEFAULT_WORKERS``."""
+    return max(1, min(os.cpu_count() or 1, _MAX_DEFAULT_WORKERS))
 
 
 def fold_snapshots(
@@ -65,16 +40,17 @@ def fold_snapshots(
     size: Optional[int] = None,
     rng: Optional[np.random.Generator] = None,
 ):
-    """Fold per-pane / per-worker snapshots into one queryable summary.
+    """Fold summaries of disjoint data into one queryable summary.
 
-    The shared fold used by the stream engine's window folds and the
-    distributed coordinator's snapshot collection.  Empty snapshots
-    are the merge identity -- and their placeholders (an empty exact
-    store for buffered methods) need not even share the non-empty
-    snapshots' summary type -- so they are dropped before folding; an
-    all-empty fold returns the first snapshot unchanged.  Sample
-    summaries fold with the size-targeted merge (re-aggregated down to
-    ``size`` keys).
+    The one fold every site uses: sharded builds, the stream engine's
+    window folds and the distributed coordinator's snapshot collection.
+    Empty snapshots are the merge identity -- and their placeholders
+    (an empty exact store for buffered methods) need not even share the
+    non-empty snapshots' summary type -- so they are dropped before
+    folding; an all-empty fold returns the first snapshot unchanged.
+    Sample summaries fold in one VarOpt stage down to at most ``size``
+    keys (:meth:`SampleSummary.from_shards`); other summaries fold with
+    their exact pairwise ``merge``.
     """
     snapshots = list(snapshots)
     if not snapshots:
@@ -84,21 +60,28 @@ def fold_snapshots(
     ]
     if not non_empty:
         return snapshots[0]
-    if len(non_empty) == 1:
-        return non_empty[0]
     if all(isinstance(snap, SampleSummary) for snap in non_empty):
         return SampleSummary.from_shards(non_empty, s=size, rng=rng)
-    return fold_merge(non_empty)
+    folded = non_empty[0]
+    for snap in non_empty[1:]:
+        folded = folded.merge(snap)
+    return folded
 
 
 @dataclass
 class ShardedBuild:
-    """Outcome of a sharded build: the folded summary plus provenance."""
+    """Outcome of a sharded build: the folded summary plus provenance.
+
+    ``wire`` holds what a fleet build's own frames put on the wire
+    (``frames_sent``, ``bytes_sent``, ``bytes_received``, ``shm_bytes``;
+    see :meth:`~repro.distributed.coordinator.Coordinator.run_tasks`);
+    it stays empty for in-process builds.
+    """
 
     summary: object
     num_shards: int
     shard_sizes: List[int] = field(default_factory=list)
-    used_processes: bool = False
+    wire: Dict[str, int] = field(default_factory=dict)
 
 
 def build_sharded(
@@ -109,17 +92,15 @@ def build_sharded(
     *,
     num_shards: Optional[int] = None,
     strategy: str = "contiguous",
-    parallel: bool = True,
-    max_workers: Optional[int] = None,
+    coordinator=None,
 ) -> ShardedBuild:
-    """Partition, build per shard (in parallel), and merge.
+    """Partition, build per shard, and fold.
 
     Parameters
     ----------
     method:
-        A registry name (required for process-parallel builds, since
-        only the name crosses the process boundary) or a raw builder
-        callable ``(dataset, s, rng) -> summary`` (built serially).
+        A registry name, or a raw builder callable ``(dataset, s, rng)
+        -> summary`` (built in process; only names reach a fleet).
     dataset:
         The full dataset; each shard sees a row-disjoint subset over
         the same domain.
@@ -127,22 +108,26 @@ def build_sharded(
         Per-shard summary size, and the size the folded sample is
         re-aggregated down to.
     rng:
-        Seeds the per-shard generators and the merge; omit for a
+        Seeds the per-shard generators and the fold; omit for a
         nondeterministic build.
     num_shards:
-        Defaults to the available parallelism (capped at 8).
+        Defaults to the coordinator's fleet size, or to the available
+        parallelism (capped at 8) without one.
     strategy:
         Sharding strategy (see :mod:`repro.engine.shard`).
-    parallel:
-        When False, or when ``method`` is a callable, shards build
-        serially in-process.  Process-pool failures (restricted
-        environments, unpicklable payloads) degrade to the serial path
-        instead of erroring.
+    coordinator:
+        A :class:`~repro.distributed.coordinator.Coordinator` whose
+        workers build the shards (with its retries and reassignment);
+        ``None`` builds them serially in process.  The output does not
+        depend on which path or transport built it.
     """
     if rng is None:
         rng = np.random.default_rng()
     if num_shards is None:
-        num_shards = max(1, min(os.cpu_count() or 1, _MAX_DEFAULT_WORKERS))
+        num_shards = (
+            coordinator.num_workers if coordinator is not None
+            else default_workers()
+        )
     shards = shard_dataset(dataset, num_shards, strategy=strategy)
     if not shards:
         shards = [dataset]
@@ -156,41 +141,22 @@ def build_sharded(
             "use num_shards=1 or a mergeable method"
         )
     seeds = [int(seed) for seed in rng.integers(0, 2**63, size=len(shards))]
-
-    builder: Optional[Callable] = None if isinstance(method, str) else method
-    summaries = None
-    used_processes = False
-    if parallel and builder is None and len(shards) > 1:
-        tasks = [
-            (method, shard, s, seed) for shard, seed in zip(shards, seeds)
-        ]
-        workers = max_workers or min(len(shards), _MAX_DEFAULT_WORKERS)
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                summaries = list(pool.map(_build_shard_task, tasks))
-            used_processes = True
-        except (BrokenProcessPool, pickle.PicklingError, OSError,
-                ImportError, KeyError):
-            # Pool infrastructure unavailable (restricted sandbox,
-            # unpicklable payload), or a spawn-started worker missing a
-            # parent-only registration (unknown names were already
-            # rejected above, so a worker KeyError means registry
-            # divergence): degrade to the serial path.  Builder errors
-            # raised inside a worker propagate as-is.
-            summaries = None
-    if summaries is None:
-        if builder is None:
-            builder = registry.get(method)
+    wire: Dict[str, int] = {}
+    if coordinator is not None:
+        if not isinstance(method, str):
+            raise TypeError("a fleet builds registry methods by name only")
+        summaries = coordinator.build_shards(
+            method, shards, s, seeds, wire=wire
+        )
+    else:
+        builder = registry.get(method) if isinstance(method, str) else method
         summaries = [
             builder(shard, s, np.random.default_rng(seed))
             for shard, seed in zip(shards, seeds)
         ]
-
-    shard_sizes = [getattr(summary, "size", 0) for summary in summaries]
-    merged = fold_merge(summaries, s=s, rng=rng)
     return ShardedBuild(
-        summary=merged,
+        summary=fold_snapshots(summaries, size=s, rng=rng),
         num_shards=len(shards),
-        shard_sizes=shard_sizes,
-        used_processes=used_processes,
+        shard_sizes=[getattr(summary, "size", 0) for summary in summaries],
+        wire=wire,
     )

@@ -4,8 +4,8 @@ Every summarization method the repo knows is registered here under a
 stable string name with the uniform signature
 ``builder(dataset, size, rng) -> summary``.  The experiment harness,
 the examples, the benchmarks and the sharded build engine all resolve
-methods through this registry instead of hand-wiring imports, and the
-process-pool builder ships only the *name* across process boundaries
+methods through this registry instead of hand-wiring imports, and a
+fleet build ships only the *name* across process boundaries
 (builders themselves are often lambdas/closures and need not pickle).
 """
 

@@ -64,6 +64,10 @@ def render_figure(result: FigureResult) -> str:
     return "\n".join(lines)
 
 
+#: Values at or below this are exact up to float rounding.
+EXACT_EPS = 1e-12
+
+
 def render_comparison(
     result: FigureResult, baseline: str, target: str
 ) -> str:
@@ -71,22 +75,26 @@ def render_comparison(
 
     Reports the geometric-mean ratio baseline/target over shared x
     values (>1 means the target is more accurate / faster depending on
-    the metric's polarity).
+    the metric's polarity).  Points where both values are at or below
+    ``EXACT_EPS`` are left out and counted: both methods are exact
+    there, and a ratio of rounding errors would decide the mean.
     """
     import math
 
     base = dict(result.series.get(baseline, []))
     tgt = dict(result.series.get(target, []))
     shared = sorted(set(base) & set(tgt))
+    exact = [x for x in shared if max(base[x], tgt[x]) <= EXACT_EPS]
     ratios = [
         base[x] / tgt[x]
         for x in shared
-        if tgt[x] > 0 and base[x] > 0
+        if tgt[x] > 0 and base[x] > 0 and x not in exact
     ]
+    left_out = f" ({len(exact)} left out as exact)" if exact else ""
     if not ratios:
-        return f"{target} vs {baseline}: no comparable points"
+        return f"{target} vs {baseline}: no comparable points{left_out}"
     geo = math.exp(sum(math.log(r) for r in ratios) / len(ratios))
     return (
         f"{target} vs {baseline}: geometric-mean ratio "
-        f"{geo:.2f}x over {len(ratios)} points"
+        f"{geo:.2f}x over {len(ratios)} points{left_out}"
     )

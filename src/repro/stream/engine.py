@@ -9,11 +9,15 @@ over tumbling / sliding event-time windows.
 
 Windows are built from the mergeable-summary protocol and nothing
 else: a window is a list of per-pane summaries, each pane ingesting
-its slice of the stream incrementally, folded with ``from_shards`` /
-``merge`` at query time.  That is the same statistical machinery as
-the sharded batch engine -- panes are time-shards -- so every fold
-keeps the Horvitz-Thompson unbiasedness of sample summaries and the
-exactness/error guarantees of the dedicated ones.
+its slice of the stream incrementally, folded at query time by the
+engine's one fold (:func:`repro.engine.builder.fold_snapshots`: one
+VarOpt stage over sample panes, ``merge`` for the dedicated
+summaries).  That is the same statistical machinery as the sharded
+batch engine -- panes are time-shards -- so every fold keeps the
+Horvitz-Thompson unbiasedness of sample summaries and the
+exactness/error guarantees of the dedicated ones.  A landmark engine
+is one pane, and each slice of a distributed fleet is one engine
+(:class:`repro.distributed.coordinator.DistributedIngest`).
 
 Reproducibility: the engine owns a root seed and derives an
 independent child seed per (method, pane) and per fold (see

@@ -8,9 +8,8 @@ for sketches), and is built from a :class:`~repro.core.types.Dataset`.
 
 Summaries that can be combined additionally implement the *mergeable
 summary protocol*: ``a.merge(b)`` returns a summary of the union of the
-two underlying (disjoint) datasets, and ``Cls.from_shards(shards)``
-folds a list of per-shard summaries into one.  The sharded build engine
-(:mod:`repro.engine`) relies on nothing else.
+two underlying (disjoint) datasets.  The engine's one fold
+(:func:`repro.engine.builder.fold_snapshots`) relies on nothing else.
 
 Summaries that can ingest a live feed implement the *incremental
 summary protocol* (:class:`IncrementalSummary`): ``update(keys,
@@ -23,7 +22,7 @@ calls plus ``merge``.
 from __future__ import annotations
 
 import abc
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -140,17 +139,6 @@ class Summary(abc.ABC):
     def mergeable(self) -> bool:
         """Whether this summary type implements :meth:`merge`."""
         return type(self).merge is not Summary.merge
-
-    @classmethod
-    def from_shards(cls, shards: Sequence["Summary"]) -> "Summary":
-        """Fold per-shard summaries into one with repeated :meth:`merge`."""
-        shards = list(shards)
-        if not shards:
-            raise ValueError("from_shards requires at least one summary")
-        merged = shards[0]
-        for shard in shards[1:]:
-            merged = merged.merge(shard)
-        return merged
 
 
 class IncrementalSummary(abc.ABC):

@@ -24,6 +24,12 @@ consumption order.  ``tests/test_kernel_equivalence.py`` and
 ``tests/test_kd.py`` and ``tests/test_tree_build_oracles.py`` pin the
 array-native kd build to the recursion node for node.
 
+The pairwise sample fold (``merge`` / ``downsample``) lives here as
+well: on the scalar walk it is compared statistically, and on the
+production stage (``chain_reaggregate``) it pins the one- and
+two-input case of the one-stage ``SampleSummary.from_shards`` bitwise
+(``tests/test_kernel_equivalence.py``).
+
 The batch q-digest's greedy build lives here as its heap walk over the
 Morton trie, one pop and one split at a time (``qdigest_leaves``);
 ``tests/test_tree_build_oracles.py`` compares the radix-tree selection's
@@ -48,7 +54,7 @@ from repro.core.aggregation import (
     is_set,
     pair_aggregate_values,
 )
-from repro.core.estimator import SampleSummary
+from repro.core.estimator import SampleSummary, reaggregate_indices
 from repro.core.ipps import (
     StreamingThreshold,
     ipps_probabilities,
@@ -721,19 +727,42 @@ def reaggregate(
     )
 
 
+def chain_reaggregate(
+    coords: np.ndarray,
+    adjusted: np.ndarray,
+    tau_floor: float,
+    s: int,
+    rng: Optional[np.random.Generator],
+) -> SampleSummary:
+    """:func:`reaggregate` on the production stage (the chain kernel).
+
+    Passed as ``stage`` to :func:`merge` / :func:`downsample`, it makes
+    them the one- and two-input folds as they were written before the
+    one-stage ``SampleSummary.from_shards``, draw for draw.
+    """
+    included, tau_star = reaggregate_indices(adjusted, tau_floor, s, rng)
+    return SampleSummary(
+        coords=coords[included],
+        weights=adjusted[included],
+        tau=tau_star,
+    )
+
+
 def downsample(
     summary: SampleSummary,
     s: int,
     rng: Optional[np.random.Generator] = None,
+    *,
+    stage: Callable = reaggregate,
 ) -> SampleSummary:
-    """Scalar ``SampleSummary.downsample``."""
+    """``SampleSummary.downsample`` as one stage (scalar by default)."""
     if summary.size <= s:
         return SampleSummary(
             coords=summary.coords.copy(),
             weights=summary.weights.copy(),
             tau=summary.tau,
         )
-    return reaggregate(
+    return stage(
         summary.coords, summary.adjusted_weights, summary.tau, s, rng
     )
 
@@ -743,8 +772,15 @@ def merge(
     b: SampleSummary,
     s: Optional[int] = None,
     rng: Optional[np.random.Generator] = None,
+    *,
+    stage: Callable = reaggregate,
 ) -> SampleSummary:
-    """Scalar ``SampleSummary.merge`` of two disjoint-shard samples."""
+    """Pairwise ``SampleSummary.merge`` of two disjoint-shard samples.
+
+    The stage is the scalar pool walk by default; with
+    :func:`chain_reaggregate` this is the two-input fold as written
+    before the one-stage ``SampleSummary.from_shards``.
+    """
     if b.size == 0 or a.size == 0:
         base = a if b.size == 0 else b
         if s is None or base.size <= s:
@@ -753,12 +789,12 @@ def merge(
                 weights=base.weights.copy(),
                 tau=base.tau,
             )
-        return downsample(base, s, rng)
+        return downsample(base, s, rng, stage=stage)
     if s is None:
         s = max(a.size, b.size)
     coords = np.concatenate((a.coords, b.coords), axis=0)
     adjusted = np.concatenate((a.adjusted_weights, b.adjusted_weights))
-    return reaggregate(coords, adjusted, max(a.tau, b.tau), s, rng)
+    return stage(coords, adjusted, max(a.tau, b.tau), s, rng)
 
 
 # ----------------------------------------------------------------------

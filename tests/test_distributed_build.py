@@ -1,11 +1,11 @@
-"""Distributed shard builds: parity with the local engine + fault paths.
+"""Fleet shard builds: parity with the serial engine + fault paths.
 
-The headline guarantee: a distributed build over any transport
-produces *identical* query answers to the single-process
-``build_sharded`` path given the same seed -- per-shard seeds, worker
-builders, codec round trip and fold all line up bit-for-bit.  Plus the
-coordinator's failure handling: task errors and worker deaths are
-retried/reassigned to surviving workers.
+The headline guarantee: ``build_sharded(..., coordinator=...)`` over
+any transport produces *identical* query answers to the serial
+in-process ``build_sharded`` given the same seed -- per-shard seeds,
+worker builders, codec round trip and fold all line up bit-for-bit.
+Plus the coordinator's failure handling: task errors and worker deaths
+are retried/reassigned to surviving workers.
 """
 
 import numpy as np
@@ -16,9 +16,9 @@ from repro.distributed import (
     Coordinator,
     DistributedError,
     InProcessTransport,
-    distributed_build,
+    SharedMemoryTransport,
 )
-from repro.distributed.codec import decode_message, encode_message
+from repro.distributed.codec import decode_message, encode_message, to_bytes
 from repro.distributed.worker import WorkerRuntime
 from repro.engine import registry
 from repro.engine.builder import build_sharded
@@ -63,35 +63,43 @@ MERGEABLE_METHODS = [
 ]
 
 
+def fleet_build(method, data, rng, *, num_workers=None,
+                transport="inprocess", num_shards=None, **options):
+    """``build_sharded`` on a fleet started (and closed) for this call."""
+    with Coordinator(transport, num_workers, **options) as coord:
+        return build_sharded(
+            method, data, SIZE, rng,
+            num_shards=num_shards, coordinator=coord,
+        )
+
+
 class TestParityWithLocalEngine:
     @pytest.mark.parametrize("method", MERGEABLE_METHODS)
     def test_inprocess_matches_build_sharded(self, method):
         data = dataset_1d() if method == "qdigest-stream" else dataset_2d()
         local = build_sharded(
-            method, data, SIZE, np.random.default_rng(5),
-            num_shards=4, parallel=False,
+            method, data, SIZE, np.random.default_rng(5), num_shards=4,
         )
-        dist = distributed_build(
-            method, data, SIZE, np.random.default_rng(5),
-            num_workers=4, transport="inprocess",
+        dist = fleet_build(
+            method, data, np.random.default_rng(5), num_workers=4,
         )
         battery = queries(data.dims)
         assert dist.summary.query_many(battery) == \
             local.summary.query_many(battery)
-        assert dist.num_tasks == local.num_shards
-        assert dist.transport == "inprocess"
+        assert to_bytes(dist.summary) == to_bytes(local.summary)
+        assert dist.num_shards == local.num_shards
+        assert dist.shard_sizes == local.shard_sizes
 
     @pytest.mark.parametrize("method", MERGEABLE_METHODS)
     def test_multiprocessing_4_workers_matches_build_sharded(self, method):
         """The acceptance criterion: 4 workers over real processes."""
         data = dataset_1d() if method == "qdigest-stream" else dataset_2d()
         local = build_sharded(
-            method, data, SIZE, np.random.default_rng(5),
-            num_shards=4, parallel=False,
+            method, data, SIZE, np.random.default_rng(5), num_shards=4,
         )
         try:
-            dist = distributed_build(
-                method, data, SIZE, np.random.default_rng(5),
+            dist = fleet_build(
+                method, data, np.random.default_rng(5),
                 num_workers=4, transport="multiprocessing",
             )
         except (OSError, PermissionError) as exc:  # pragma: no cover
@@ -99,13 +107,37 @@ class TestParityWithLocalEngine:
         battery = queries(data.dims)
         assert dist.summary.query_many(battery) == \
             local.summary.query_many(battery)
+        assert to_bytes(dist.summary) == to_bytes(local.summary)
+
+    def test_shared_memory_matches_build_sharded(self):
+        """Every mergeable method, frame for frame, through segments."""
+        try:
+            coord = Coordinator(
+                SharedMemoryTransport(min_shm_bytes=1 << 12), num_workers=2
+            )
+        except (OSError, PermissionError) as exc:  # pragma: no cover
+            pytest.skip(f"process spawning unavailable: {exc}")
+        with coord:
+            for method in MERGEABLE_METHODS:
+                data = (dataset_1d() if method == "qdigest-stream"
+                        else dataset_2d())
+                local = build_sharded(
+                    method, data, SIZE, np.random.default_rng(5),
+                    num_shards=4,
+                )
+                dist = build_sharded(
+                    method, data, SIZE, np.random.default_rng(5),
+                    num_shards=4, coordinator=coord,
+                )
+                assert to_bytes(dist.summary) == to_bytes(local.summary)
+            assert coord.transport.stats.snapshot()["shm_bytes"] > 0
 
     def test_transports_agree_with_each_other(self):
         data = dataset_2d(seed=7)
         answers = []
         for transport in ("inprocess", "multiprocessing"):
-            dist = distributed_build(
-                "qdigest", data, SIZE, np.random.default_rng(1),
+            dist = fleet_build(
+                "qdigest", data, np.random.default_rng(1),
                 num_workers=3, transport=transport,
             )
             answers.append(dist.summary.query_many(queries(2)))
@@ -114,20 +146,36 @@ class TestParityWithLocalEngine:
     def test_coordinator_reuse_across_builds(self):
         data = dataset_2d(seed=9)
         with Coordinator("inprocess", num_workers=3) as coord:
-            first = distributed_build(
+            first = build_sharded(
                 "obliv", data, SIZE, np.random.default_rng(0),
                 coordinator=coord,
             )
-            second = distributed_build(
+            second = build_sharded(
                 "sketch", data, SIZE, np.random.default_rng(0),
                 coordinator=coord,
             )
-        assert first.num_workers == second.num_workers == 3
+        assert first.num_shards == second.num_shards == 3
+
+    def test_fleet_builds_names_only(self):
+        with Coordinator("inprocess", num_workers=2) as coord:
+            with pytest.raises(TypeError, match="by name"):
+                build_sharded(
+                    lambda d, s, rng: registry.build("obliv", d, s, rng),
+                    dataset_2d(), SIZE, coordinator=coord,
+                )
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_empty_fleet_raises(self, workers):
+        """No fleet size below one starts a default fleet instead."""
+        with pytest.raises(ValueError, match="at least one worker"):
+            Coordinator("inprocess", num_workers=workers)
+        with pytest.raises(ValueError, match=">= 1"):
+            build_sharded("obliv", dataset_2d(), SIZE, num_shards=workers)
 
     def test_unknown_method_fails_fast(self):
         with pytest.raises(KeyError, match="unknown method"):
-            distributed_build(
-                "no-such-method", dataset_2d(), SIZE,
+            fleet_build(
+                "no-such-method", dataset_2d(),
                 np.random.default_rng(0), num_workers=2,
             )
 
@@ -180,12 +228,11 @@ class TestFaultHandling:
         )
         coord = Coordinator(transport, num_workers=3, max_retries=2)
         with coord:
-            result = distributed_build(
+            result = build_sharded(
                 "obliv", data, SIZE, np.random.default_rng(0),
                 coordinator=coord,
             )
         assert coord.retries >= 1
-        assert result.retries >= 1
         assert result.summary.size == SIZE
 
     def test_dead_workers_tasks_reassigned(self):
@@ -201,9 +248,9 @@ class TestFaultHandling:
         transport = InProcessTransport(handler_factory=factory)
         coord = Coordinator(transport, num_workers=3, max_retries=2)
         with coord:
-            result = distributed_build(
+            result = build_sharded(
                 "obliv", data, SIZE, np.random.default_rng(0),
-                num_workers=3, coordinator=coord,
+                num_shards=3, coordinator=coord,
             )
         assert not transport.alive(0)
         assert result.summary.size == SIZE
@@ -216,7 +263,7 @@ class TestFaultHandling:
         coord = Coordinator(transport, num_workers=2, max_retries=2)
         with coord:
             with pytest.raises(DistributedError, match="failed after"):
-                distributed_build(
+                build_sharded(
                     "obliv", data, SIZE, np.random.default_rng(0),
                     coordinator=coord,
                 )
@@ -236,7 +283,7 @@ class TestFaultHandling:
         with coord:
             with pytest.raises(DistributedError,
                                match="wire version mismatch"):
-                distributed_build(
+                build_sharded(
                     "obliv", data, SIZE, np.random.default_rng(0),
                     coordinator=coord,
                 )
@@ -249,7 +296,7 @@ class TestFaultHandling:
         coord = Coordinator(transport, num_workers=2, max_retries=5)
         with coord:
             with pytest.raises(DistributedError, match="workers"):
-                distributed_build(
+                build_sharded(
                     "obliv", data, SIZE, np.random.default_rng(0),
                     coordinator=coord,
                 )
@@ -264,8 +311,8 @@ class TestFaultHandling:
         with coord:
             # Make worker 0 exit abruptly (no reply), then build.
             coord.send(0, {"type": "exit"})
-            result = distributed_build(
+            result = build_sharded(
                 "obliv", data, SIZE, np.random.default_rng(0),
-                num_workers=3, coordinator=coord,
+                num_shards=3, coordinator=coord,
             )
         assert result.summary.size == SIZE

@@ -17,8 +17,10 @@ from repro.datagen.queries import uniform_area_queries
 from repro.distributed import (
     DistributedIngest,
     QueryFrontend,
+    codec,
 )
 from repro.stream import MicroBatch, StreamEngine, tumbling
+from repro.stream.incremental import derive_seed
 from repro.structures.product import line_domain
 from repro.structures.ranges import Box
 
@@ -86,6 +88,41 @@ class TestDistributedIngest:
                 fleet.dispatch(flow_batches())
                 taus.append(fleet.snapshot("obliv").tau)
         assert taus[0] == taus[1]
+
+    def test_landmark_slices_are_stream_engines(self):
+        """Each landmark slice is the in-process landmark engine.
+
+        Batches go round-robin to the slices and slice ``sid`` is
+        seeded ``derive_seed(seed, "worker", sid)``: the slices'
+        snapshots and checkpoint states match the engine's bit for
+        bit.  Without a window the fleet does not forward timestamps,
+        so out-of-order stamps cannot matter.
+        """
+        domain = network_domain(CONFIG)
+        methods = ["obliv", "aware", "exact", "sketch"]
+        batches = list(flow_batches(batch_size=500))
+        with DistributedIngest(
+            domain, methods, 150, num_workers=2, seed=13
+        ) as fleet:
+            for step, batch in enumerate(batches):
+                fleet.process(MicroBatch(
+                    batch.coords, batch.weights, float(-step)
+                ))
+            slices = fleet._collect()
+            fleet.checkpoint()
+            states = [sl.ckpt_state for sl in fleet._slices]
+        for sid in range(2):
+            local = StreamEngine(
+                domain, methods, 150, seed=derive_seed(13, "worker", sid)
+            )
+            for batch in batches[sid::2]:
+                local.process(MicroBatch(batch.coords, batch.weights))
+            for method in methods:
+                assert codec.to_bytes(slices[method][sid]) == \
+                    codec.to_bytes(local.snapshot(method))
+            assert states[sid] == {
+                "kind": "engine", "payload": local._checkpoint_payload(),
+            }
 
     def test_unknown_method_rejected(self):
         domain = line_domain(16)
@@ -252,7 +289,7 @@ class TestPaneHandOff:
     def test_sealed_panes_ship_and_fold(self):
         """StreamEngine's seal hook feeds the distributed codec path."""
         from repro.distributed import codec
-        from repro.engine.builder import fold_merge
+        from repro.engine.builder import fold_snapshots
         from repro.stream import tumbling
 
         shipped = []
@@ -274,7 +311,7 @@ class TestPaneHandOff:
             codec.from_bytes(frames["qdigest-stream"])
             for _, frames in shipped
         ]
-        folded = fold_merge(decoded)
+        folded = fold_snapshots(decoded)
         # Two sealed panes of 10 batches x 20 unit-weight items each.
         assert folded.total == pytest.approx(400.0)
 

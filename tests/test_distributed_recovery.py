@@ -3,8 +3,8 @@
 :class:`~repro.durable.FaultyTransport` injects deterministic kills
 (the n-th outbound frame to a worker is lost along with the worker),
 and the recovery contract is pinned the same way the engine's is:
-a fleet that loses a worker mid-stream under ``recovery="replay"`` or
-``"replicate"`` answers **bit-identically** to a fleet that never did.
+a fleet that loses a worker mid-stream under ``recovery="replay"``
+answers **bit-identically** to a fleet that never did.
 """
 
 import numpy as np
@@ -242,27 +242,6 @@ class TestReplayRecovery:
         store.close()
 
 
-class TestReplicateRecovery:
-    def test_primary_death_promotes_sibling(self):
-        baseline = run_fleet("inprocess", 21, recovery="replicate")
-        faulty = FaultyTransport("inprocess", kill_after={0: 5})
-        recovered = run_fleet(faulty, 21, recovery="replicate")
-        assert recovered == baseline
-
-    def test_replica_death_is_invisible(self):
-        baseline = run_fleet("inprocess", 23, recovery="replicate")
-        faulty = FaultyTransport("inprocess", kill_after={1: 5})
-        recovered = run_fleet(faulty, 23, recovery="replicate")
-        assert recovered == baseline
-
-    def test_losing_both_replicas_is_loud(self):
-        faulty = FaultyTransport(
-            "inprocess", kill_after={0: 4, 1: 5}
-        )
-        with pytest.raises(DistributedError, match="replica"):
-            run_fleet(faulty, 25, recovery="replicate")
-
-
 class TestNoneModeUnchanged:
     def test_lost_slice_stays_lost(self):
         # The historical lossy semantics: recovery="none" drops the
@@ -272,6 +251,13 @@ class TestNoneModeUnchanged:
         lossy = run_fleet(faulty, 27, recovery="none")
         assert lossy != baseline
         assert lossy["exact"][0] < baseline["exact"][0]
+
+    def test_unknown_recovery_mode_raises(self):
+        with pytest.raises(ValueError, match="unknown recovery mode"):
+            DistributedIngest(
+                domain(), METHODS, 48, transport="inprocess",
+                num_workers=2, recovery="replicate",
+            )
 
 
 class TestBackoffSatellite:

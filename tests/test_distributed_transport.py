@@ -17,7 +17,6 @@ from repro.distributed import (
     Coordinator,
     InProcessTransport,
     SharedMemoryTransport,
-    distributed_build,
     make_transport,
 )
 from repro.distributed import codec
@@ -99,13 +98,14 @@ class TestWireStats:
         assert stats["shm_frames"] == stats["shm_bytes"] == 0
 
     def test_build_records_wire_accounting(self):
-        result = distributed_build(
-            "obliv", dataset_2d(), SIZE, np.random.default_rng(0),
-            num_workers=2, transport="inprocess",
-        )
-        assert result.frames_sent > 0
-        assert result.bytes_on_wire > 0
-        assert result.shm_bytes == 0
+        with Coordinator("inprocess", 2) as coord:
+            result = build_sharded(
+                "obliv", dataset_2d(), SIZE, np.random.default_rng(0),
+                coordinator=coord,
+            )
+        assert result.wire["frames_sent"] > 0
+        assert result.wire["bytes_sent"] + result.wire["bytes_received"] > 0
+        assert result.wire["shm_bytes"] == 0
 
 
 class TestTransportLookup:
@@ -128,12 +128,14 @@ class TestSharedMemoryTransport:
         # Low threshold so the ~20 KiB shard frames go through shm.
         transport = SharedMemoryTransport(min_shm_bytes=1 << 12)
         try:
-            result = distributed_build(
-                "obliv", data, SIZE, np.random.default_rng(0),
-                num_workers=4, transport=transport,
-            )
+            coord = Coordinator(transport, 4)
         except (OSError, PermissionError) as exc:  # pragma: no cover
             pytest.skip(f"process spawning unavailable: {exc}")
+        with coord:
+            result = build_sharded(
+                "obliv", data, SIZE, np.random.default_rng(0),
+                coordinator=coord,
+            )
         local = build_sharded(
             "obliv", data, SIZE, np.random.default_rng(0), num_shards=4
         )
@@ -143,7 +145,8 @@ class TestSharedMemoryTransport:
             )
         # Large shard frames went out-of-band: descriptors on the
         # pipe, payloads through segments.
-        assert result.shm_bytes > result.bytes_on_wire
+        wire = result.wire
+        assert wire["shm_bytes"] > wire["bytes_sent"] + wire["bytes_received"]
 
     def test_small_and_fire_and_forget_frames_stay_inline(self):
         transport = start_shm(1, min_shm_bytes=1 << 16)
@@ -188,9 +191,9 @@ class TestSharedMemoryTransport:
             pytest.skip(f"process spawning unavailable: {exc}")
         with coord:
             coord.send(0, {"type": "exit"})
-            result = distributed_build(
+            result = build_sharded(
                 "obliv", data, SIZE, np.random.default_rng(0),
-                num_workers=3, coordinator=coord,
+                num_shards=3, coordinator=coord,
             )
         assert result.summary.size == SIZE
 

@@ -3,8 +3,8 @@
 The statistical contract: folding per-shard VarOpt samples with
 ``merge`` must preserve Horvitz-Thompson unbiasedness (the second
 sampling stage composes with the first by the tower rule; see
-``SampleSummary.merge``), be commutative in distribution, and treat an
-empty summary as the identity.
+``SampleSummary.from_shards``), be commutative in distribution, and
+treat an empty summary as the identity.
 """
 
 import numpy as np
@@ -13,7 +13,12 @@ import pytest
 from repro.core.estimator import SampleSummary
 from repro.core.types import Dataset
 from repro.core.varopt import varopt_summary
-from repro.engine import build_sharded, fold_merge, registry, shard_dataset
+from repro.engine import (
+    build_sharded,
+    fold_snapshots,
+    registry,
+    shard_dataset,
+)
 from repro.engine.shard import STRATEGIES, shard_indices
 from repro.structures.ranges import Box
 from repro.summaries.exact import ExactSummary
@@ -262,22 +267,27 @@ class TestShardingAndEngine:
     def test_build_sharded_serial_matches_interface(self):
         data = skewed_dataset()
         result = build_sharded(
-            "obliv", data, 150, np.random.default_rng(0),
-            num_shards=4, parallel=False,
+            "obliv", data, 150, np.random.default_rng(0), num_shards=4,
         )
-        assert not result.used_processes
         assert result.num_shards == 4
+        assert result.wire == {}  # built in process
         assert abs(result.summary.size - 150) <= 1
         assert result.summary.estimate_total() == pytest.approx(
             data.total_weight, rel=1e-6
         )
 
     def test_build_sharded_parallel_smoke(self):
-        """Process-pool path (degrades to serial where unavailable)."""
+        """The parallel path: shards built on a worker fleet."""
+        from repro.distributed import Coordinator
+
         data = skewed_dataset(n=1200)
-        result = build_sharded(
-            "varopt", data, 100, np.random.default_rng(1), num_shards=3
-        )
+        with Coordinator("inprocess", 3) as coord:
+            result = build_sharded(
+                "varopt", data, 100, np.random.default_rng(1),
+                coordinator=coord,
+            )
+        assert result.num_shards == 3
+        assert result.wire["frames_sent"] == 3
         assert abs(result.summary.size - 100) <= 1
         assert result.summary.estimate_total() == pytest.approx(
             data.total_weight, rel=1e-6
@@ -289,7 +299,6 @@ class TestShardingAndEngine:
             lambda d, s, rng: varopt_summary(d, s, rng),
             data, 90, np.random.default_rng(2), num_shards=3,
         )
-        assert not result.used_processes  # callables build serially
         assert abs(result.summary.size - 90) <= 1
 
     def test_build_sharded_rejects_unmergeable_method(self):
@@ -319,16 +328,15 @@ class TestShardingAndEngine:
         data = skewed_dataset(n=600)
         assert registry.is_mergeable("sketch")
         result = build_sharded("sketch", data, 256,
-                               np.random.default_rng(0), num_shards=4,
-                               parallel=False)
+                               np.random.default_rng(0), num_shards=4)
         mono = registry.build("sketch", data, 256, np.random.default_rng(1))
         box = Box((0, 0), ((1 << 15) - 1, (1 << 16) - 1))
         # Tables are linear, so the fold is exactly the monolithic build.
         assert result.summary.query(box) == pytest.approx(mono.query(box))
 
-    def test_fold_merge_requires_input(self):
+    def test_fold_snapshots_requires_input(self):
         with pytest.raises(ValueError):
-            fold_merge([])
+            fold_snapshots([])
 
     def test_registry_roundtrip(self):
         assert "aware" in registry.available()

@@ -194,6 +194,28 @@ class TestReport:
                                  target="a")
         assert "2.00x" in text
 
+    def test_comparison_leaves_out_exact_points(self):
+        """Both methods exact up to rounding: no ratio, only a count.
+
+        The values are fig2a's smoke table (network data, uniform area
+        queries); at s=3000 both errors are float rounding.
+        """
+        r = FigureResult("fig2a", "t", "summary size", "absolute error")
+        for x, aware, qdigest in [(100, 0.01458, 0.2345),
+                                  (300, 0.005191, 0.06388),
+                                  (1000, 0.001763, 0.00886),
+                                  (3000, 4.196e-18, 4.246e-16)]:
+            r.add_point("aware", x, aware)
+            r.add_point("qdigest", x, qdigest)
+        text = render_comparison(r, baseline="qdigest", target="aware")
+        ratio = float(text.split("ratio ")[1].split("x")[0])
+        assert round(ratio, 1) == 10.0
+        assert "over 3 points (1 left out as exact)" in text
+        r.add_point("aware", 5000, 0.0)
+        r.add_point("qdigest", 5000, 1e-13)
+        text = render_comparison(r, baseline="qdigest", target="aware")
+        assert "over 3 points (2 left out as exact)" in text
+
     def test_comparison_no_overlap(self):
         r = FigureResult("f", "t", "x", "y")
         r.add_point("a", 1, 1.0)

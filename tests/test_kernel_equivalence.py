@@ -235,6 +235,72 @@ def test_merge_strict_seed_escape_hatch():
     assert abs(down_v.size - 10) <= 1 and abs(down_s.size - 10) <= 1
 
 
+def _assert_same_sample(got, expect):
+    assert got.coords.shape == expect.coords.shape
+    np.testing.assert_array_equal(got.coords, expect.coords)
+    assert oracles.same_bits(got.weights, expect.weights)
+    assert oracles.same_bits([got.tau], [expect.tau])
+
+
+def test_one_and_two_input_folds_match_the_pairwise_oracle():
+    """1- and 2-input folds are the pairwise merge/downsample, draw for draw.
+
+    ``SampleSummary.from_shards`` folds any number of inputs in one
+    stage; with one or two inputs it must equal the pairwise
+    ``oracles.merge`` / ``oracles.downsample`` run on the production
+    stage (``oracles.chain_reaggregate``) bit for bit: reservoir,
+    offline VarOpt, exact (tau = 0) and empty inputs, targets from 1 to
+    past the union, and the default target.
+    """
+    from repro.core.estimator import SampleSummary
+    from repro.engine import registry
+    from repro.structures.order import OrderedDomain
+
+    size = 1 << 12
+    domain = ProductDomain([OrderedDomain(size), OrderedDomain(size)])
+    empty = SampleSummary(np.empty((0, 2), dtype=np.int64), np.empty(0), 0.0)
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        data = Dataset(
+            coords=rng.integers(0, size, size=(400, 2)),
+            weights=1.0 + rng.pareto(1.2, size=400),
+            domain=domain,
+        )
+        a = registry.build("obliv", data.subset(slice(0, 150)), 60, rng)
+        b = registry.build("varopt", data.subset(slice(150, 300)), 40, rng)
+        exact = SampleSummary(data.coords[300:330], data.weights[300:330], 0.0)
+        pairs = [(a, b), (b, a), (a, exact), (exact, b), (a, empty),
+                 (empty, b), (exact, exact), (empty, empty)]
+        for s in (None, 1, 10, 40, 70, 200):
+            for x, y in pairs:
+                want = oracles.merge(
+                    x, y, s, np.random.default_rng(seed),
+                    stage=oracles.chain_reaggregate,
+                )
+                for got in (
+                    SampleSummary.from_shards(
+                        [x, y], s=s, rng=np.random.default_rng(seed)
+                    ),
+                    x.merge(y, s=s, rng=np.random.default_rng(seed)),
+                ):
+                    _assert_same_sample(got, want)
+            for x in (a, b, exact, empty):
+                target = x.size if s is None else s
+                want = oracles.downsample(
+                    x, target, np.random.default_rng(seed),
+                    stage=oracles.chain_reaggregate,
+                )
+                _assert_same_sample(
+                    SampleSummary.from_shards(
+                        [x], s=s, rng=np.random.default_rng(seed)
+                    ),
+                    want,
+                )
+                _assert_same_sample(
+                    x.downsample(target, np.random.default_rng(seed)), want
+                )
+
+
 class TestDatasetBuilders:
     """The dataset-level builders: two-pass ``aware`` and ``obliv``."""
 

@@ -32,8 +32,9 @@ import pytest
 
 from repro import obs
 from repro.core.types import Dataset
-from repro.distributed import Coordinator, ServingFrontend, distributed_build
+from repro.distributed import Coordinator, ServingFrontend
 from repro.distributed.codec import from_bytes, to_bytes
+from repro.engine.builder import build_sharded
 from repro.obs import AccuracyProbe, CounterSet, Histogram, MetricsRegistry
 from repro.stream import StreamEngine, tumbling
 from repro.structures.ranges import Box
@@ -595,8 +596,7 @@ class TestFullStackSnapshot:
         data = dataset(n=1500)
         # Distributed build: wire + dispatch + coordinator spans.
         with Coordinator("inprocess", 2) as coordinator:
-            distributed_build("exact", data, 200,
-                              coordinator=coordinator)
+            build_sharded("exact", data, 200, coordinator=coordinator)
             # Streaming ingest: pane seal + ingest telemetry.
             engine = StreamEngine(
                 data.domain, ["exact", "obliv"], 64,
@@ -646,8 +646,7 @@ class TestFullStackSnapshot:
     def test_dispatcher_reply_latency_recorded(self, registry):
         data = dataset(n=800)
         with Coordinator("inprocess", 2) as coordinator:
-            distributed_build("exact", data, 100,
-                              coordinator=coordinator)
+            build_sharded("exact", data, 100, coordinator=coordinator)
         hist = registry.snapshot()["dispatch.reply_latency_seconds"]
         assert hist["count"] > 0
         assert hist["p95"] > 0.0

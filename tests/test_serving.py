@@ -9,9 +9,10 @@ Covers the serving-tier contracts end to end:
   cross-supplier fan-out sums, per-query fault isolation, the
   lock-free read of resolved answers under contending submitters, and
   the closed service's typed refusal;
-* async/sync parity -- concurrent ``distributed_build`` calls through
-  one coordinator stay bit-identical to ``build_sharded``, and their
-  per-build wire accounting sums exactly to the transport's counters.
+* async/sync parity -- concurrent fleet ``build_sharded`` calls
+  through one coordinator stay bit-identical to the serial build, and
+  their per-build wire accounting sums exactly to the transport's
+  counters.
 """
 
 import sys
@@ -30,7 +31,6 @@ from repro.distributed import (
     OverloadError,
     ServiceClosedError,
     ServingFrontend,
-    distributed_build,
 )
 from repro.distributed.codec import encode_message
 from repro.engine.builder import build_sharded
@@ -436,7 +436,7 @@ class TestAsyncBuildParity:
         locals_ = [
             build_sharded(
                 "sketch", data, SIZE, np.random.default_rng(5 + i),
-                num_shards=2, parallel=False,
+                num_shards=2,
             )
             for i, data in enumerate(datasets)
         ]
@@ -447,7 +447,7 @@ class TestAsyncBuildParity:
 
             def run(i):
                 try:
-                    results[i] = distributed_build(
+                    results[i] = build_sharded(
                         "sketch", datasets[i], SIZE,
                         np.random.default_rng(5 + i),
                         coordinator=coord,
@@ -472,14 +472,17 @@ class TestAsyncBuildParity:
                 local.summary.query_many(battery())
         # Per-build future-summed accounting adds up exactly to the
         # transport's counters: nothing double-counted, nothing lost.
-        total_wire = sum(result.bytes_on_wire for result in results)
+        total_wire = sum(
+            result.wire["bytes_sent"] + result.wire["bytes_received"]
+            for result in results
+        )
         assert total_wire == (
             after["bytes_sent"] - before["bytes_sent"]
             + after["bytes_received"] - before["bytes_received"]
         )
-        total_frames = sum(result.frames_sent for result in results)
+        total_frames = sum(result.wire["frames_sent"] for result in results)
         assert total_frames == (
             after["frames_sent"] - before["frames_sent"]
         )
-        assert all(result.retries == 0 for result in results)
-        assert all(result.shm_bytes == 0 for result in results)
+        assert coord.retries == 0
+        assert all(result.wire["shm_bytes"] == 0 for result in results)
